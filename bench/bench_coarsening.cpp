@@ -1,7 +1,8 @@
 /// Experiment E8 — paper Section 5.1: WLD coarsening. Measures the
 /// accuracy/runtime trade of bunching (and binning, footnote 7) on the
-/// 130 nm / 1M gate baseline, and verifies the paper's bound that the
-/// rank error from bunching is at most the largest bunch size.
+/// 130 nm / 1M gate baseline, and checks the rank error from bunching
+/// against one bunch per layer-pair (the paper's one-bunch bound does not
+/// hold at pair boundaries; see core/dp_rank.hpp).
 
 #include <chrono>
 #include <cstdlib>

@@ -22,9 +22,14 @@
 ///    typical instances.
 ///
 /// The result is the exact optimum at bunch granularity — the paper's own
-/// granularity, with rank error bounded by the largest bunch (Section
-/// 5.1). The optional boundary refinement extends the prefix into the
-/// first failing bunch wire-by-wire when the leftover budget allows.
+/// granularity (Section 5.1), where every bunch sits whole on one
+/// layer-pair. It is not within one bunch of the wire-granular optimum:
+/// splitting bunches across pairs can use capacity and repeater area that
+/// whole bunches leave stranded on every pair, so the gap can span several
+/// bunches (on a tight-capacity 8-pair instance of 500 bunches of at most
+/// 20 wires, this DP gives 59 and the wire-granular greedy_rank 135). The
+/// optional boundary refinement extends the prefix into the first failing
+/// bunch wire-by-wire when the leftover budget allows.
 
 #pragma once
 

@@ -8,7 +8,9 @@
 /// its target (budget exhausted, no feasible repeatering, or nothing
 /// proactively saved for cheaper pairs below) ends the delay-met prefix;
 /// remaining wires are packed on for the Definition-3 feasibility check.
-/// dp_rank() >= greedy_rank() always; strict on Figure-2-like instances.
+/// dp_rank() >= greedy_rank() when every bunch is one wire; strict on
+/// Figure-2-like instances. Greedy splits bunches, so on bunched instances
+/// it can beat the bunch-granular DP (see core/dp_rank.hpp).
 ///
 /// Emits a full placement certificate (RankResult::placements), so greedy
 /// results re-validate under core::verify_placements just like the DP's —

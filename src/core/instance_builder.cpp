@@ -11,7 +11,6 @@
 #include "src/util/fault_injector.hpp"
 #include "src/util/metrics.hpp"
 #include "src/util/stopwatch.hpp"
-#include "src/util/thread_pool.hpp"
 #include "src/util/trace.hpp"
 #include "src/wld/coarsen.hpp"
 
@@ -185,12 +184,10 @@ const InstanceBuilder::PlanStage& InstanceBuilder::plan_stage(
       }
     }
 
-    // Bunches are independent (each writes only result.plans[b]), so the
-    // stages_to_meet grid fans out over the shared pool. Writes land at
-    // fixed indices and every input is frozen, so the table is
-    // bitwise-identical at any worker count. Chunked claiming keeps
-    // per-index atomic traffic negligible for cheap rows.
-    const auto plan_bunch = [&](std::size_t b) {
+    // One stages_to_meet row per bunch, planned serially on the calling
+    // thread: the rows are cheap, and the builder holds its mutex here, so
+    // it never re-enters the shared pool (DESIGN.md Section 3.8).
+    for (std::size_t b = 0; b < result.bunches.size(); ++b) {
       // Repeater-interval cap: at most floor(l / spacing) stages per wire
       // (paper Section 4.1: insertion stops when repeaters cannot be
       // placed at appropriate intervals).
@@ -219,9 +216,7 @@ const InstanceBuilder::PlanStage& InstanceBuilder::plan_stage(
                             (electrical.stack.pair(j).s_opt * a_inv);
         }
       }
-    };
-    util::ThreadPool::shared().parallel_for(result.bunches.size(), 0,
-                                            /*grain=*/8, plan_bunch);
+    }
     return result;
   });
 }

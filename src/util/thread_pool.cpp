@@ -7,6 +7,7 @@
 #include <exception>
 #include <limits>
 #include <memory>
+#include <utility>
 
 #include "src/util/metrics.hpp"
 
@@ -29,67 +30,50 @@ Histogram& kPoolTaskSeconds = MetricsRegistry::histogram(
     "wall time of executed pool tasks");
 
 /// Shared state of one parallel_for batch. Helper tasks enqueued on the
-/// pool and the calling thread all claim indices from the same counter.
-/// The batch is complete when no index is claimable and none is running —
-/// helpers that start late (or never) find the counter exhausted and
-/// return immediately, so the caller never depends on a helper actually
-/// running. Kept alive by shared_ptr until the last late helper fires.
+/// pool and the calling thread all claim indices from the same cursor, and
+/// every claimed index runs. `pending` counts the indices not yet finished
+/// or skipped; the batch is complete exactly when it reaches 0, so the
+/// caller cannot return while a claimed index still runs. A failure moves
+/// the cursor to `n`, which stops all claiming and counts the unclaimed
+/// rest as skipped. Helpers that start late (or never) find the cursor
+/// exhausted and touch only the batch, which the shared_ptr keeps alive
+/// until the last of them fires.
 struct Batch {
   std::size_t n = 0;
-  std::size_t grain = 1;  ///< indices claimed per counter bump
   std::function<void(std::size_t)> fn;
   std::atomic<std::size_t> next{0};
-  std::atomic<bool> failed{false};
 
   std::mutex mutex;
   std::condition_variable done;
-  std::size_t running = 0;  ///< claimed blocks still executing (guarded)
+  std::size_t pending = 0;  ///< indices not yet finished or skipped (guarded)
   std::exception_ptr error;
   std::size_t error_index = std::numeric_limits<std::size_t>::max();
 
   void drain() {
     for (;;) {
-      if (failed.load(std::memory_order_relaxed)) return;
-      const std::size_t first =
-          next.fetch_add(grain, std::memory_order_relaxed);
-      if (first >= n) return;
-      const std::size_t last = std::min(first + grain, n);
-      {
-        const std::scoped_lock lock(mutex);
-        ++running;
-      }
+      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= n) return;
       std::exception_ptr thrown;
-      std::size_t thrown_index = 0;
-      for (std::size_t i = first; i < last; ++i) {
-        if (failed.load(std::memory_order_relaxed)) break;
-        try {
-          fn(i);
-        } catch (...) {
-          thrown = std::current_exception();
-          thrown_index = i;
-          break;  // rest of this block counts as skipped
-        }
+      try {
+        fn(i);
+      } catch (...) {
+        thrown = std::current_exception();
       }
+      bool finished = false;
       {
         const std::scoped_lock lock(mutex);
-        --running;
         if (thrown) {
-          failed.store(true, std::memory_order_relaxed);
-          if (thrown_index < error_index) {
-            error_index = thrown_index;
-            error = thrown;
+          // Stop claiming; the indices nobody claimed yet count as skipped.
+          pending -= n - std::min(next.exchange(n), n);
+          if (i < error_index) {
+            error_index = i;
+            error = std::move(thrown);
           }
         }
+        finished = --pending == 0;
       }
-      done.notify_all();
+      if (finished) done.notify_all();
     }
-  }
-
-  /// Caller must hold `mutex`.
-  [[nodiscard]] bool complete() const {
-    return running == 0 &&
-           (failed.load(std::memory_order_relaxed) ||
-            next.load(std::memory_order_relaxed) >= n);
   }
 };
 
@@ -130,14 +114,7 @@ void ThreadPool::worker_loop() {
 
 void ThreadPool::parallel_for(std::size_t n, unsigned parallelism,
                               const std::function<void(std::size_t)>& fn) {
-  parallel_for(n, parallelism, 1, fn);
-}
-
-void ThreadPool::parallel_for(std::size_t n, unsigned parallelism,
-                              std::size_t grain,
-                              const std::function<void(std::size_t)>& fn) {
   if (n == 0) return;
-  grain = std::max<std::size_t>(grain, 1);
   if (::getpid() != creator_pid_) {
     // Forked child: the worker threads did not survive fork, and mutex_ may
     // have been held by one of them at fork time. Run inline without ever
@@ -147,8 +124,7 @@ void ThreadPool::parallel_for(std::size_t n, unsigned parallelism,
   }
   const unsigned capacity = worker_count() + 1;  // workers + calling thread
   unsigned p = parallelism == 0 ? capacity : std::min(parallelism, capacity);
-  const std::size_t blocks = (n + grain - 1) / grain;
-  p = static_cast<unsigned>(std::min<std::size_t>(p, blocks));
+  p = static_cast<unsigned>(std::min<std::size_t>(p, n));
   if (p <= 1) {
     for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
@@ -156,7 +132,7 @@ void ThreadPool::parallel_for(std::size_t n, unsigned parallelism,
 
   const auto batch = std::make_shared<Batch>();
   batch->n = n;
-  batch->grain = grain;
+  batch->pending = n;
   batch->fn = fn;
   kPoolBatches.inc();
   {
@@ -169,11 +145,15 @@ void ThreadPool::parallel_for(std::size_t n, unsigned parallelism,
   work_ready_.notify_all();
 
   batch->drain();  // the calling thread always participates
+  std::exception_ptr error;
   {
     std::unique_lock lock(batch->mutex);
-    batch->done.wait(lock, [&batch] { return batch->complete(); });
-    if (batch->error) std::rethrow_exception(batch->error);
+    batch->done.wait(lock, [&batch] { return batch->pending == 0; });
+    // Taken out under the lock, so a late helper that drops the batch
+    // never releases the exception the caller is handling.
+    error = std::move(batch->error);
   }
+  if (error) std::rethrow_exception(error);
 }
 
 ThreadPool& ThreadPool::shared() {

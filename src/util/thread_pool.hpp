@@ -40,23 +40,14 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   /// Runs fn(0) .. fn(n-1) with at most `parallelism` tasks in flight
-  /// (0 = workers + the calling thread). Blocks until every index ran.
-  /// Indices are claimed from a shared counter, so ordering of *writes*
-  /// is up to the caller (index into a presized vector for deterministic
-  /// output). If any invocation throws, the exception of the lowest
-  /// executed failing index is rethrown after the batch drains; remaining
-  /// unclaimed indices are skipped.
+  /// (0 = workers + the calling thread). Indices are claimed one at a time
+  /// from a shared counter, so ordering of *writes* is up to the caller
+  /// (index into a presized vector for deterministic output). Returns only
+  /// after every claimed index has finished, so fn may capture the
+  /// caller's stack. If any invocation throws, no further index is
+  /// claimed, and the exception of the lowest executed failing index is
+  /// rethrown once the claimed ones have finished.
   void parallel_for(std::size_t n, unsigned parallelism,
-                    const std::function<void(std::size_t)>& fn);
-
-  /// Chunked variant: indices are claimed in blocks of `grain` from the
-  /// shared counter, cutting per-index atomic traffic when fn is cheap
-  /// (e.g. the instance builder's per-bunch plan loop). Semantics match
-  /// the single-index overload — fn(i) runs exactly once per executed
-  /// index, the lowest executed failing index is rethrown, and the
-  /// calling thread participates — except that a failure also skips the
-  /// remaining indices of its own block. grain == 0 behaves as 1.
-  void parallel_for(std::size_t n, unsigned parallelism, std::size_t grain,
                     const std::function<void(std::size_t)>& fn);
 
   [[nodiscard]] unsigned worker_count() const {

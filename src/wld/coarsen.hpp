@@ -4,8 +4,10 @@
 ///
 /// Rank computation cost grows steeply with the number of assignment units,
 /// so the paper assigns *bunches* of identical-length wires instead of
-/// single wires. The error in the computed rank is bounded by the largest
-/// bunch size. Binning is an orthogonal reduction that replaces a group of
+/// single wires. The rank is then exact at bunch granularity only: a
+/// bunch sits whole on one layer-pair, so it can lose more than one
+/// bunch's worth of wires against single-wire assignment (see
+/// core/dp_rank.hpp). Binning is an orthogonal reduction that replaces a group of
 /// nearby lengths with a single wire length at their (count-weighted) mean.
 
 #pragma once

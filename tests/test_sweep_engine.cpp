@@ -4,6 +4,7 @@
 /// bitwise-identical to cold ones), the sweep observability counters, and
 /// the direction-aware value_reaching_rank.
 
+#include <array>
 #include <atomic>
 #include <cmath>
 #include <stdexcept>
@@ -195,6 +196,40 @@ TEST(ThreadPool, PoolIsReusableAfterAFailedBatch) {
       seen[i].fetch_add(1, std::memory_order_relaxed);
     });
     for (const auto& s : seen) EXPECT_EQ(s.load(), 1);
+  }
+}
+
+TEST(ThreadPool, ReturnsOnlyAfterEveryIndexRan) {
+  // Many tiny batches over state on the caller's stack: a helper that
+  // claims an index late must still finish before parallel_for returns,
+  // or it writes into the frame the next round reuses.
+  util::ThreadPool pool(3);
+  for (int round = 0; round < 200000; ++round) {
+    std::array<int, 3> slots{};
+    pool.parallel_for(slots.size(), 0, [&slots](std::size_t i) {
+      slots[i] = static_cast<int>(i) + 1;
+    });
+    ASSERT_EQ(slots[0] + slots[1] + slots[2], 6) << "round " << round;
+  }
+}
+
+TEST(ThreadPool, FailedBatchReturnsOnlyAfterClaimedIndicesFinished) {
+  // Index 0 throws at once while the others are still running: the
+  // failure must not let the caller return before they have finished.
+  util::ThreadPool pool(3);
+  std::atomic<int> in_flight{0};
+  const auto fn = [&in_flight](std::size_t i) {
+    if (i == 0) throw std::runtime_error("first");
+    in_flight.fetch_add(1);
+    for (int spin = 0; spin < 64; ++spin) {  // widen the in-flight window
+      std::atomic_signal_fence(std::memory_order_seq_cst);
+    }
+    in_flight.fetch_sub(1);
+  };
+  for (int round = 0; round < 20000; ++round) {
+    ASSERT_THROW(pool.parallel_for(3, 0, fn), std::runtime_error)
+        << "round " << round;
+    ASSERT_EQ(in_flight.load(), 0) << "round " << round;
   }
 }
 
