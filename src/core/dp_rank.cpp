@@ -179,6 +179,7 @@ struct DpKernel::Impl {
   std::size_t m_ = 0;
   std::int64_t n_bunches_ = 0;
   const std::int64_t* wb_ = nullptr;  ///< wires_before lane, size n+1
+  const PairInfo* pairs_ = nullptr;   ///< the instance's pair header
   // Cached per solve (deterministic functions of the instance; identical
   // to recomputing them per use as the reference does).
   double pair_capacity_ = 0.0;
@@ -193,7 +194,7 @@ struct DpKernel::Impl {
                                   double repeaters_above) const {
     return (vias_per_wire_ * wires_above +
             vias_per_repeater_ * repeaters_above) *
-           inst_->pair(j).via_area;
+           pairs_[j].via_area;
   }
 
   RankResult::DpStats stats_;
@@ -410,20 +411,19 @@ struct DpKernel::Impl {
                                           double capacity) const {
     if (!opt_.refine_boundary || b + c >= n_bunches_) return 0;
     const auto bb = static_cast<std::size_t>(b + c);
-    if (inst_->plan_feasible_lane(j)[bb] == 0) return 0;
-    const std::int64_t bunch_count = inst_->bunch_count_lane()[bb];
+    if (inst_->first_infeasible(j, bb) == bb) return 0;
+    const std::int64_t bunch_count = wb_[bb + 1] - wb_[bb];
     const double area_per_wire = inst_->plan_area_per_wire_lane(j)[bb];
     std::int64_t by_budget = bunch_count;
     if (area_per_wire > 0.0) {
-      const double left =
-          inst_->repeater_budget() + budget_tol() - node_r - cost.rep_area;
+      const double left = budget_plus_tol_ - node_r - cost.rep_area;
       by_budget = left <= 0.0
                       ? 0
                       : static_cast<std::int64_t>(
                             std::floor(left / area_per_wire));
     }
     const double area_left = capacity + area_tol() - cost.wire_area;
-    const double per_wire = inst_->bunch_length_lane()[bb] * inst_->pair(j).pitch;
+    const double per_wire = inst_->bunch(bb).length * pairs_[j].pitch;
     const auto by_area = static_cast<std::int64_t>(
         std::floor(std::max(0.0, area_left) / per_wire));
     return std::clamp<std::int64_t>(std::min(by_budget, by_area), 0,
@@ -676,6 +676,7 @@ struct DpKernel::Impl {
       const double* pr_area = inst_->prefix_repeater_area_lane(j);
       const std::int64_t* pr_count = inst_->prefix_repeater_count_lane(j);
       const double* pw_area = inst_->prefix_wire_area_lane(j);
+      const std::uint32_t* next_inf = inst_->first_infeasible_lane(j);
 
       // Absolute end bunch of the previous entry's feasible chunk: the
       // locality hint for max_chunk_hinted across this level's sweep.
@@ -787,7 +788,7 @@ struct DpKernel::Impl {
             }
 
             const std::size_t chunk_cap =
-                std::min(inst_->first_infeasible(j, t),
+                std::min(static_cast<std::size_t>(next_inf[t]),
                          static_cast<std::size_t>(n_bunches_));
             const std::int64_t c_max =
                 max_chunk_hinted(pw_area, pr_area, chunk_cap, t,
@@ -832,7 +833,7 @@ struct DpKernel::Impl {
     in.repeaters_total = static_cast<double>(node_z + cost.rep_count);
     if (w_extra > 0) {
       const auto bb = static_cast<std::size_t>(b + c);
-      const DelayPlan& plan = inst_->plan(bb, j);
+      const DelayPlan plan = inst_->plan(bb, j);
       in.area_used_first_pair += inst_->wire_area(bb, j, w_extra);
       in.repeaters_total +=
           static_cast<double>(w_extra * plan.repeaters_per_wire());
@@ -959,7 +960,7 @@ struct DpKernel::Impl {
     std::int64_t refine_rep_count = 0;
     if (best.w_extra > 0) {
       const auto bb = static_cast<std::size_t>(best.b + best.c);
-      const DelayPlan& plan = inst_->plan(bb, static_cast<std::size_t>(best.j));
+      const DelayPlan plan = inst_->plan(bb, static_cast<std::size_t>(best.j));
       refine_rep_area = static_cast<double>(best.w_extra) * plan.area_per_wire;
       refine_rep_count = best.w_extra * plan.repeaters_per_wire();
     }
@@ -1007,7 +1008,7 @@ struct DpKernel::Impl {
           blockage_j(j, static_cast<double>(wb_[lo]), z_above);
       for (std::int64_t t = lo; t < hi; ++t) {
         const auto bb = static_cast<std::size_t>(t);
-        const DelayPlan& plan = inst_->plan(bb, j);
+        const DelayPlan plan = inst_->plan(bb, j);
         const std::int64_t count = inst_->bunch(bb).count;
         u.wires_meeting_delay += count;
         u.wires_total += count;
@@ -1018,7 +1019,7 @@ struct DpKernel::Impl {
       }
       if (j == static_cast<std::size_t>(best.j) && best.w_extra > 0) {
         const auto bb = static_cast<std::size_t>(best.b + best.c);
-        const DelayPlan& plan = inst_->plan(bb, j);
+        const DelayPlan plan = inst_->plan(bb, j);
         u.wires_meeting_delay += best.w_extra;
         u.wires_total += best.w_extra;
         u.wire_area += inst_->wire_area(bb, j, best.w_extra);
@@ -1102,6 +1103,7 @@ struct DpKernel::Impl {
     m_ = inst.pair_count();
     n_bunches_ = static_cast<std::int64_t>(inst.bunch_count());
     wb_ = inst.wires_before_lane();
+    pairs_ = inst.pairs().data();
     pair_capacity_ = inst.pair_capacity();
     atol_ = area_tol();
     budget_plus_tol_ = inst.repeater_budget() + budget_tol();

@@ -174,7 +174,7 @@ std::int64_t ReferenceSolver::refine_extra(std::size_t j, std::int64_t b,
                                            double capacity) const {
   if (!opt_.refine_boundary || b + c >= n_bunches_) return 0;
   const auto bb = static_cast<std::size_t>(b + c);
-  const DelayPlan& plan = inst_.plan(bb, j);
+  const DelayPlan plan = inst_.plan(bb, j);
   if (!plan.feasible) return 0;
   const Bunch& bunch = inst_.bunch(bb);
   std::int64_t by_budget = bunch.count;
@@ -404,7 +404,7 @@ FreePackInput ReferenceSolver::pack_input(std::size_t j, std::int64_t b,
   in.repeaters_total = static_cast<double>(node_z + cost.rep_count);
   if (w_extra > 0) {
     const auto bb = static_cast<std::size_t>(b + c);
-    const DelayPlan& plan = inst_.plan(bb, j);
+    const DelayPlan plan = inst_.plan(bb, j);
     in.area_used_first_pair += inst_.wire_area(bb, j, w_extra);
     in.repeaters_total +=
         static_cast<double>(w_extra * plan.repeaters_per_wire());
@@ -531,7 +531,7 @@ RankResult ReferenceSolver::assemble(const HeapEntry& best) const {
   std::int64_t refine_rep_count = 0;
   if (best.w_extra > 0) {
     const auto bb = static_cast<std::size_t>(best.b + best.c);
-    const DelayPlan& plan = inst_.plan(bb, static_cast<std::size_t>(best.j));
+    const DelayPlan plan = inst_.plan(bb, static_cast<std::size_t>(best.j));
     refine_rep_area = static_cast<double>(best.w_extra) * plan.area_per_wire;
     refine_rep_count = best.w_extra * plan.repeaters_per_wire();
   }
@@ -578,7 +578,7 @@ RankResult ReferenceSolver::assemble(const HeapEntry& best) const {
         z_above);
     for (std::int64_t t = lo; t < hi; ++t) {
       const auto bb = static_cast<std::size_t>(t);
-      const DelayPlan& plan = inst_.plan(bb, j);
+      const DelayPlan plan = inst_.plan(bb, j);
       const std::int64_t count = inst_.bunch(bb).count;
       u.wires_meeting_delay += count;
       u.wires_total += count;
@@ -589,7 +589,7 @@ RankResult ReferenceSolver::assemble(const HeapEntry& best) const {
     }
     if (j == static_cast<std::size_t>(best.j) && best.w_extra > 0) {
       const auto bb = static_cast<std::size_t>(best.b + best.c);
-      const DelayPlan& plan = inst_.plan(bb, j);
+      const DelayPlan plan = inst_.plan(bb, j);
       u.wires_meeting_delay += best.w_extra;
       u.wires_total += best.w_extra;
       u.wire_area += inst_.wire_area(bb, j, best.w_extra);

@@ -229,8 +229,10 @@ class PointEvaluator {
     {
       const std::scoped_lock lock(group.mutex);
       if (group.builder == nullptr) {
+        // Capacity 1: every grid point is a new option set, so older
+        // instances would never be hit again.
         group.builder = std::make_unique<InstanceBuilder>(
-            spec_.design(s.node), spec_.wld(s.node, s.rent));
+            spec_.design(s.node), spec_.wld(s.node, s.rent), 1);
       }
     }
     maybe_crash_for_test(index);
@@ -238,10 +240,7 @@ class PointEvaluator {
     point.value = static_cast<double>(index);
     try {
       const RankOptions opt = spec_.options_at(s);
-      // Reused per worker thread (the builder varies by scenario group,
-      // but shapes repeat, so warm rebuilds stay allocation-free).
-      thread_local Instance inst;
-      group.builder->build_into(opt, inst);
+      const Instance inst = group.builder->build(opt);
       DpOptions dp;
       dp.build_trace = false;  // journal carries headline fields only
       dp.refine_boundary = opt.refine_boundary;

@@ -74,7 +74,7 @@ RankResult greedy_rank(const Instance& inst) {
 
       std::int64_t met = 0;
       if (prefix_intact) {
-        const DelayPlan& plan = inst.plan(b, j);
+        const DelayPlan plan = inst.plan(b, j);
         if (!plan.feasible) {
           prefix_intact = false;
         } else {

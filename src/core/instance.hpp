@@ -24,7 +24,7 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -61,10 +61,19 @@ struct DelayPlan {
   [[nodiscard]] std::int64_t repeaters_per_wire() const { return stages - 1; }
 };
 
-/// Frozen rank-computation input. Build via `build_instance` (physical
+/// Frozen rank-computation input: a value handle over one immutable
+/// table set. Build via `build_instance` / `InstanceBuilder` (physical
 /// flow) or `Instance::from_raw` (hand-crafted scenarios, e.g. the
-/// Figure 2 counterexample and unit tests).
+/// Figure 2 counterexample and unit tests). The tables — bunches, pair
+/// header, plan lanes and prefix tables — are computed once (by a
+/// RowWriter, which from_raw drives) and never change, so copying an
+/// Instance is a reference-count bump and copies share every lane; a copy
+/// stays valid however long the builder cache that produced it keeps its
+/// entry. A default-constructed Instance is an empty handle: assign to it
+/// before calling any accessor.
 class Instance {
+  struct Tables;  // defined below
+
  public:
   /// Raw constructor: bunches must be sorted by non-increasing length,
   /// pairs ordered top to bottom. `plans[b][j]` gives the delay plan of
@@ -76,33 +85,54 @@ class Instance {
                                          double repeater_budget,
                                          tech::ViaSpec vias);
 
-  /// Default-constructed instances are empty shells; populate them with
-  /// assign_raw before use (the reuse idiom of the sweep workers).
+  /// from_raw fed one bunch row of plans at a time, so a caller that
+  /// computes plans row by row (the builder's plans stage) never holds the
+  /// nested plan matrix next to the tables. Same validation, same tables.
+  class RowWriter {
+   public:
+    /// Validates everything but the plans. Throws util::Error.
+    RowWriter(std::vector<Bunch> bunches, std::vector<PairInfo> pairs,
+              double pair_capacity, double repeater_budget,
+              tech::ViaSpec vias);
+
+    [[nodiscard]] const std::vector<Bunch>& bunches() const {
+      return t_->bunches;
+    }
+    /// Plans of the next bunch on pairs 0..pair_count()-1.
+    void add_row(const DelayPlan* row);
+    /// The instance; every bunch row must have been added.
+    [[nodiscard]] Instance finish() &&;
+
+   private:
+    std::shared_ptr<Tables> t_;
+    std::size_t rows_ = 0;
+  };
+
   Instance() = default;
 
-  /// from_raw into an existing instance: same validation, same resulting
-  /// values, but every member is copy-assigned so a reused instance with
-  /// matching shapes performs zero heap allocation — the per-point build
-  /// path of the hot drivers (DESIGN.md Section 10.6).
-  void assign_raw(const std::vector<Bunch>& bunches,
-                  const std::vector<PairInfo>& pairs,
-                  const std::vector<std::vector<DelayPlan>>& plans,
-                  double pair_capacity, double repeater_budget,
-                  tech::ViaSpec vias);
-
   // --- Shape ----------------------------------------------------------------
-  [[nodiscard]] std::size_t bunch_count() const { return bunches_.size(); }
-  [[nodiscard]] std::size_t pair_count() const { return pairs_.size(); }
-  [[nodiscard]] const std::vector<Bunch>& bunches() const { return bunches_; }
-  [[nodiscard]] const std::vector<PairInfo>& pairs() const { return pairs_; }
-  [[nodiscard]] const Bunch& bunch(std::size_t b) const { return bunches_[b]; }
-  [[nodiscard]] const PairInfo& pair(std::size_t j) const { return pairs_[j]; }
+  [[nodiscard]] std::size_t bunch_count() const { return t_->bunches.size(); }
+  [[nodiscard]] std::size_t pair_count() const { return t_->pairs.size(); }
+  [[nodiscard]] const std::vector<Bunch>& bunches() const {
+    return t_->bunches;
+  }
+  [[nodiscard]] const std::vector<PairInfo>& pairs() const {
+    return t_->pairs;
+  }
+  [[nodiscard]] const Bunch& bunch(std::size_t b) const {
+    return t_->bunches[b];
+  }
+  [[nodiscard]] const PairInfo& pair(std::size_t j) const {
+    return t_->pairs[j];
+  }
 
   // --- Globals ----------------------------------------------------------------
-  [[nodiscard]] double pair_capacity() const { return pair_capacity_; }
-  [[nodiscard]] double repeater_budget() const { return repeater_budget_; }
-  [[nodiscard]] const tech::ViaSpec& vias() const { return vias_; }
-  [[nodiscard]] std::int64_t total_wires() const { return total_wires_; }
+  [[nodiscard]] double pair_capacity() const { return t_->pair_capacity; }
+  [[nodiscard]] double repeater_budget() const { return t_->repeater_budget; }
+  [[nodiscard]] const tech::ViaSpec& vias() const { return t_->vias; }
+  [[nodiscard]] std::int64_t total_wires() const {
+    return t_->wires_before.back();
+  }
 
   /// Wires in bunches [0, b) — the number of wires strictly above the
   /// first wire of bunch b in rank order.
@@ -113,8 +143,9 @@ class Instance {
   [[nodiscard]] double wire_area(std::size_t b, std::size_t j,
                                  std::int64_t wires) const;
 
-  /// Delay/repeater plan of one wire of bunch b on pair j.
-  [[nodiscard]] const DelayPlan& plan(std::size_t b, std::size_t j) const;
+  /// Delay/repeater plan of one wire of bunch b on pair j, reassembled
+  /// from the lanes; every field equals the one given to from_raw.
+  [[nodiscard]] DelayPlan plan(std::size_t b, std::size_t j) const;
 
   /// Via blockage charged against pair j when `wires_above` wires and
   /// `repeaters_above` repeaters live on pairs 0..j-1.
@@ -140,23 +171,24 @@ class Instance {
 
   /// Cumulative wiring area of bunches [0, b) fully placed on pair j.
   [[nodiscard]] double prefix_wire_area(std::size_t j, std::size_t b) const {
-    return prefix_wire_area_[j * prefix_stride_ + b];
+    return t_->prefix_wire_area[j * t_->stride + b];
   }
   /// Cumulative repeater area of delay-met bunches [0, b) on pair j.
   [[nodiscard]] double prefix_repeater_area(std::size_t j, std::size_t b) const {
-    return prefix_rep_area_[j * prefix_stride_ + b];
+    return t_->prefix_rep_area[j * t_->stride + b];
   }
   /// Cumulative repeater count of delay-met bunches [0, b) on pair j.
   [[nodiscard]] std::int64_t prefix_repeater_count(std::size_t j,
                                                    std::size_t b) const {
-    return prefix_rep_count_[j * prefix_stride_ + b];
+    return t_->prefix_rep_count[j * t_->stride + b];
   }
   /// First bunch t >= b whose plan on pair j is infeasible (bunch_count()
   /// when every bunch from b on is feasible). A delay-met chunk [b, b+c)
-  /// on pair j is plan-feasible iff first_infeasible(j, b) >= b + c.
+  /// on pair j is plan-feasible iff first_infeasible(j, b) >= b + c, and
+  /// plan(b, j) is feasible iff first_infeasible(j, b) != b.
   [[nodiscard]] std::size_t first_infeasible(std::size_t j,
                                              std::size_t b) const {
-    return next_infeasible_[j * prefix_stride_ + b];
+    return t_->next_infeasible[j * t_->stride + b];
   }
 
   /// Aggregate cost of the delay-met chunk [b, b+c) on pair j, as prefix
@@ -168,10 +200,11 @@ class Instance {
   };
   [[nodiscard]] ChunkTotals chunk_totals(std::size_t j, std::size_t b,
                                          std::size_t c) const {
-    const std::size_t base = j * prefix_stride_;
-    return {prefix_wire_area_[base + b + c] - prefix_wire_area_[base + b],
-            prefix_rep_area_[base + b + c] - prefix_rep_area_[base + b],
-            prefix_rep_count_[base + b + c] - prefix_rep_count_[base + b]};
+    const Tables& t = *t_;
+    const std::size_t base = j * t.stride;
+    return {t.prefix_wire_area[base + b + c] - t.prefix_wire_area[base + b],
+            t.prefix_rep_area[base + b + c] - t.prefix_rep_area[base + b],
+            t.prefix_rep_count[base + b + c] - t.prefix_rep_count[base + b]};
   }
 
   /// Largest c such that the delay-met chunk [b, b+c) on pair j has every
@@ -183,85 +216,70 @@ class Instance {
                                                 double rep_limit) const;
 
   // --- Structure-of-arrays lanes ---------------------------------------------
-  // Flat per-pair views of the plan matrix and the bunch list, built once
-  // in from_raw for the data-oriented DP kernel: the forward pass reads
-  // one field of many bunches at a time, and the AoS plan()/bunch()
-  // accessors would make those loops gather loads. Each plan lane is
-  // bunch_count() + 1 long — index bunch_count() is a sentinel row
-  // (infeasible, zero cost) so batched reads at a chunk's one-past-the-end
-  // bunch stay in bounds. Values are copies of the plan()/bunch() fields,
-  // so lane reads are bitwise-identical to AoS reads.
+  // Flat per-pair views for the data-oriented DP kernel: the forward pass
+  // reads one field of many bunches at a time. Each pair lane is
+  // bunch_count() + 1 long — index bunch_count() is a sentinel row (zero
+  // cost) so batched reads at a chunk's one-past-the-end bunch stay in
+  // bounds. Lane values are the plan()/bunch() fields themselves, so lane
+  // reads are bitwise-identical to AoS reads.
 
-  /// plan(b, j).feasible as 0/1, lane of pair j (stride bunch_count()+1).
-  [[nodiscard]] const std::uint8_t* plan_feasible_lane(std::size_t j) const {
-    return plan_feasible_.data() + j * prefix_stride_;
-  }
   /// plan(b, j).area_per_wire, lane of pair j (sentinel 0.0 at index n).
   [[nodiscard]] const double* plan_area_per_wire_lane(std::size_t j) const {
-    return plan_area_per_wire_.data() + j * prefix_stride_;
+    return t_->area_per_wire.data() + j * t_->stride;
   }
   /// plan(b, j).repeaters_per_wire(), lane of pair j (sentinel 0).
   [[nodiscard]] const std::int64_t* plan_reps_per_wire_lane(
       std::size_t j) const {
-    return plan_reps_per_wire_.data() + j * prefix_stride_;
+    return t_->reps_per_wire.data() + j * t_->stride;
   }
-  /// bunch(b).count with a 0 sentinel at index bunch_count().
-  [[nodiscard]] const std::int64_t* bunch_count_lane() const {
-    return bunch_count_.data();
-  }
-  /// bunch(b).length with a 0.0 sentinel at index bunch_count().
-  [[nodiscard]] const double* bunch_length_lane() const {
-    return bunch_length_.data();
-  }
-  /// wires_before(b) for b in [0, bunch_count()], unchecked.
+  /// wires_before(b) for b in [0, bunch_count()], unchecked; bunch b holds
+  /// lane[b + 1] - lane[b] wires.
   [[nodiscard]] const std::int64_t* wires_before_lane() const {
-    return wires_before_.data();
+    return t_->wires_before.data();
   }
   /// prefix_repeater_area(j, b) for b in [0, bunch_count()].
   [[nodiscard]] const double* prefix_repeater_area_lane(std::size_t j) const {
-    return prefix_rep_area_.data() + j * prefix_stride_;
+    return t_->prefix_rep_area.data() + j * t_->stride;
   }
   /// prefix_repeater_count(j, b) for b in [0, bunch_count()].
   [[nodiscard]] const std::int64_t* prefix_repeater_count_lane(
       std::size_t j) const {
-    return prefix_rep_count_.data() + j * prefix_stride_;
+    return t_->prefix_rep_count.data() + j * t_->stride;
   }
   /// prefix_wire_area(j, b) for b in [0, bunch_count()].
   [[nodiscard]] const double* prefix_wire_area_lane(std::size_t j) const {
-    return prefix_wire_area_.data() + j * prefix_stride_;
+    return t_->prefix_wire_area.data() + j * t_->stride;
+  }
+  /// first_infeasible(j, b) for b in [0, bunch_count()].
+  [[nodiscard]] const std::uint32_t* first_infeasible_lane(
+      std::size_t j) const {
+    return t_->next_infeasible.data() + j * t_->stride;
   }
 
  private:
-  static void validate_raw(const std::vector<Bunch>& bunches,
-                           const std::vector<PairInfo>& pairs,
-                           const std::vector<std::vector<DelayPlan>>& plans,
-                           double pair_capacity, double repeater_budget);
+  /// Everything an Instance reads, built once by a RowWriter. The plan
+  /// matrix is stored only as flat [pair][bunch] lanes of stride `stride`
+  /// (bunch_count() + 1): feasibility is next_infeasible[b] != b, stages
+  /// is reps_per_wire + 1, and a bunch's wire count is the wires_before
+  /// difference, so no field is held twice.
+  struct Tables {
+    std::vector<Bunch> bunches;
+    std::vector<PairInfo> pairs;
+    std::vector<std::int64_t> wires_before;  ///< prefix sums, size B+1
+    std::size_t stride = 0;                  ///< bunch_count() + 1
+    std::vector<std::int64_t> reps_per_wire;
+    std::vector<double> area_per_wire;
+    std::vector<double> delay;
+    std::vector<double> prefix_wire_area;
+    std::vector<double> prefix_rep_area;
+    std::vector<std::int64_t> prefix_rep_count;
+    std::vector<std::uint32_t> next_infeasible;
+    double pair_capacity = 0.0;
+    double repeater_budget = 0.0;
+    tech::ViaSpec vias;
+  };
 
-  /// Derived state (wires_before_, prefix tables, SoA lanes) from the
-  /// just-assigned raw members. Reuses existing vector capacity.
-  void finish_raw(double pair_capacity, double repeater_budget,
-                  tech::ViaSpec vias);
-
-  void build_prefix_tables();
-
-  std::vector<Bunch> bunches_;
-  std::vector<PairInfo> pairs_;
-  std::vector<std::vector<DelayPlan>> plans_;  ///< [bunch][pair]
-  std::vector<std::int64_t> wires_before_;     ///< prefix sums, size B+1
-  std::size_t prefix_stride_ = 0;              ///< bunch_count() + 1
-  std::vector<double> prefix_wire_area_;       ///< [pair][bunch], flattened
-  std::vector<double> prefix_rep_area_;
-  std::vector<std::int64_t> prefix_rep_count_;
-  std::vector<std::size_t> next_infeasible_;
-  std::vector<std::uint8_t> plan_feasible_;    ///< [pair][bunch] SoA lanes,
-  std::vector<double> plan_area_per_wire_;     ///< sentinel row at index
-  std::vector<std::int64_t> plan_reps_per_wire_;  ///< bunch_count()
-  std::vector<std::int64_t> bunch_count_;      ///< size B+1, sentinel 0
-  std::vector<double> bunch_length_;           ///< size B+1, sentinel 0.0
-  double pair_capacity_ = 0.0;
-  double repeater_budget_ = 0.0;
-  tech::ViaSpec vias_;
-  std::int64_t total_wires_ = 0;
+  std::shared_ptr<const Tables> t_;
 };
 
 /// Builds the physical instance: scales the (gate-pitch) WLD to metres via

@@ -41,10 +41,10 @@ StageMetrics kPlansMetrics = stage_metrics("plans");
 iarank::util::Counter& kBuilds = iarank::util::MetricsRegistry::counter(
     "iarank_builder_builds_total", "instances assembled by InstanceBuilder");
 
-// Fault-injection sites, one per cacheable stage plus the per-build
-// assembly. The stage sites sit inside the compute lambdas (the miss
-// path), so `rank_tool faultcheck` exercises exactly the case that must
-// not corrupt a cache: an exception thrown mid-compute.
+// Fault-injection sites, one per cacheable stage plus the instance
+// assembly that ends the plans stage. All sit inside the compute lambdas
+// (the miss path), so `rank_tool faultcheck` exercises exactly the case
+// that must not corrupt a cache: an exception thrown mid-compute.
 const util::FaultSite kSiteCoarsen{"core.instance_builder.coarsen"};
 const util::FaultSite kSiteDie{"core.instance_builder.die"};
 const util::FaultSite kSiteStack{"core.instance_builder.stack"};
@@ -83,11 +83,15 @@ const auto& cached(Cache& cache, const Key& key, StageCounters& counters,
 
 }  // namespace
 
-InstanceBuilder::InstanceBuilder(DesignSpec design, wld::Wld wld_in_pitches)
+InstanceBuilder::InstanceBuilder(DesignSpec design, wld::Wld wld_in_pitches,
+                                 std::size_t instance_capacity)
     : design_(std::move(design)),
       wld_(std::move(wld_in_pitches)),
       arch_(make_arch(design_, wld_)),
-      wld_max_pitches_(wld_.max_length()) {
+      wld_max_pitches_(wld_.max_length()),
+      plan_cache_(instance_capacity) {
+  iarank::util::require(instance_capacity >= 1,
+                        "InstanceBuilder: instance_capacity must be >= 1");
   util::Digest d;
   digest_design(d, design_);
   digest_wld(d, wld_);
@@ -134,7 +138,7 @@ const InstanceBuilder::StackStage& InstanceBuilder::stack_stage(
   });
 }
 
-const InstanceBuilder::PlanStage& InstanceBuilder::plan_stage(
+const Instance& InstanceBuilder::plan_stage(
     const RankOptions& options, const std::vector<wld::WireGroup>& groups,
     const tech::DieModel& die, const StackStage& electrical) {
   const StackKey stack_key{options.ild_permittivity, options.miller_factor,
@@ -149,7 +153,10 @@ const InstanceBuilder::PlanStage& InstanceBuilder::plan_stage(
       options.min_repeater_spacing,
       options.max_stages ? *options.max_stages : std::int64_t{-1},
       options.charge_drivers,
-      options.max_noise_ratio};
+      options.max_noise_ratio,
+      options.pair_capacity_factor,
+      options.vias.vias_per_wire,
+      options.vias.vias_per_repeater};
   return cached(plan_cache_, key, profile_.plans, kPlansMetrics, [&] {
     TRACE_SPAN("builder.plans");
     util::maybe_inject(kSitePlans);
@@ -159,23 +166,35 @@ const InstanceBuilder::PlanStage& InstanceBuilder::plan_stage(
     const delay::TargetDelay targets(options.target_model,
                                      options.clock_frequency, l_max);
 
-    PlanStage result;
-    result.bunches.reserve(groups.size());
+    std::vector<Bunch> bunches;
+    bunches.reserve(groups.size());
     for (const wld::WireGroup& g : groups) {
       const double length_m = g.length * pitch_to_m;
-      result.bunches.push_back({length_m, g.count, targets.target(length_m)});
+      bunches.push_back({length_m, g.count, targets.target(length_m)});
     }
 
+    // A layer-pair offers `pair_capacity_factor` layers' worth of routing
+    // area; a via cut blocks that many layers' worth of via area.
+    const std::size_t m = arch_.pair_count();
     const double a_inv = design_.node.device.min_inv_area;
-    result.plans.assign(result.bunches.size(),
-                        std::vector<DelayPlan>(arch_.pair_count()));
+    std::vector<PairInfo> pairs(m);
+    for (std::size_t j = 0; j < m; ++j) {
+      const tech::LayerPair& lp = arch_.pair(j);
+      const delay::PairElectricals& el = electrical.stack.pair(j);
+      pairs[j] = {lp.name, lp.geometry.pitch(),
+                  options.pair_capacity_factor * lp.geometry.via_area(),
+                  el.s_opt, el.s_opt * a_inv};
+    }
+    Instance::RowWriter writer(std::move(bunches), std::move(pairs),
+                               options.pair_capacity_factor * die.die_area(),
+                               die.repeater_area_budget(), options.vias);
 
     // Noise gate hoisted out of the bunch loop: the coupling ratio
     // depends only on pair geometry and RC, so one evaluation per pair
     // replaces one per (bunch, pair) — bitwise-identical plans.
-    std::vector<char> noise_blocked(arch_.pair_count(), 0);
+    std::vector<char> noise_blocked(m, 0);
     if (options.max_noise_ratio < 1.0) {
-      for (std::size_t j = 0; j < arch_.pair_count(); ++j) {
+      for (std::size_t j = 0; j < m; ++j) {
         noise_blocked[j] =
             tech::coupling_noise_ratio(arch_.pair(j).geometry, electrical.rc) >
                     options.max_noise_ratio
@@ -186,25 +205,27 @@ const InstanceBuilder::PlanStage& InstanceBuilder::plan_stage(
 
     // One stages_to_meet row per bunch, planned serially on the calling
     // thread: the rows are cheap, and the builder holds its mutex here, so
-    // it never re-enters the shared pool (DESIGN.md Section 3.8).
-    for (std::size_t b = 0; b < result.bunches.size(); ++b) {
+    // it never re-enters the shared pool (DESIGN.md Section 3.8). Each row
+    // goes straight into the instance's lanes.
+    std::vector<DelayPlan> row(m);
+    for (const Bunch& bunch : writer.bunches()) {
       // Repeater-interval cap: at most floor(l / spacing) stages per wire
       // (paper Section 4.1: insertion stops when repeaters cannot be
       // placed at appropriate intervals).
       std::optional<std::int64_t> max_stages = options.max_stages;
       if (options.min_repeater_spacing > 0.0) {
-        const auto by_spacing = static_cast<std::int64_t>(std::floor(
-            result.bunches[b].length / options.min_repeater_spacing));
+        const auto by_spacing = static_cast<std::int64_t>(
+            std::floor(bunch.length / options.min_repeater_spacing));
         const std::int64_t capped = std::max<std::int64_t>(1, by_spacing);
         max_stages = max_stages ? std::min(*max_stages, capped) : capped;
       }
-      for (std::size_t j = 0; j < arch_.pair_count(); ++j) {
+      for (std::size_t j = 0; j < m; ++j) {
+        DelayPlan& p = row[j];
+        p = DelayPlan{};
         // Noise-constrained pairs cannot carry delay-met wires.
         if (noise_blocked[j] != 0) continue;
         const auto sol = electrical.stack.pair(j).model.stages_to_meet(
-            result.bunches[b].length, result.bunches[b].target_delay,
-            max_stages);
-        DelayPlan& p = result.plans[b][j];
+            bunch.length, bunch.target_delay, max_stages);
         if (sol) {
           p.feasible = true;
           p.stages = sol->stages;
@@ -216,18 +237,14 @@ const InstanceBuilder::PlanStage& InstanceBuilder::plan_stage(
                             (electrical.stack.pair(j).s_opt * a_inv);
         }
       }
+      writer.add_row(row.data());
     }
-    return result;
+    util::maybe_inject(kSiteAssemble);
+    return std::move(writer).finish();
   });
 }
 
 Instance InstanceBuilder::build(const RankOptions& options) {
-  Instance inst;
-  build_into(options, inst);
-  return inst;
-}
-
-void InstanceBuilder::build_into(const RankOptions& options, Instance& out) {
   TRACE_SPAN("builder.build");
   options.validate();
   const std::scoped_lock lock(mutex_);
@@ -236,33 +253,15 @@ void InstanceBuilder::build_into(const RankOptions& options, Instance& out) {
   const std::vector<wld::WireGroup>& groups = coarsen_stage(options);
   const tech::DieModel& die = die_stage(options);
   const StackStage& electrical = stack_stage(options);
-  const PlanStage& planned = plan_stage(options, groups, die, electrical);
-  util::maybe_inject(kSiteAssemble);
-
-  // A layer-pair offers `pair_capacity_factor` layers' worth of routing
-  // area; a via cut blocks that many layers' worth of via area. Assembled
-  // per build into the scratch (capacity retained across builds) — it is
-  // the only capacity-factor-dependent piece and costs a handful of
-  // multiplies.
-  pairs_scratch_.resize(arch_.pair_count());
-  const double a_inv = design_.node.device.min_inv_area;
-  for (std::size_t j = 0; j < arch_.pair_count(); ++j) {
-    const tech::LayerPair& lp = arch_.pair(j);
-    const delay::PairElectricals& el = electrical.stack.pair(j);
-    PairInfo& p = pairs_scratch_[j];
-    p.name = lp.name;  // string assign reuses capacity on rebuild
-    p.pitch = lp.geometry.pitch();
-    p.via_area = options.pair_capacity_factor * lp.geometry.via_area();
-    p.s_opt = el.s_opt;
-    p.repeater_area = el.s_opt * a_inv;
-  }
-
-  out.assign_raw(planned.bunches, pairs_scratch_, planned.plans,
-                 options.pair_capacity_factor * die.die_area(),
-                 die.repeater_area_budget(), options.vias);
+  Instance inst = plan_stage(options, groups, die, electrical);
 
   ++profile_.builds;
   kBuilds.inc();
+  return inst;
+}
+
+void InstanceBuilder::build_into(const RankOptions& options, Instance& out) {
+  out = build(options);
 }
 
 BuildProfile InstanceBuilder::profile() const {

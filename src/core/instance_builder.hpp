@@ -12,24 +12,31 @@
 ///  | coarsen | binned + bunched WLD groups     | (bin_window, bunch_size)               |
 ///  | die     | die model (paper Eq. 6)         | (repeater_fraction)                    |
 ///  | stack   | RC params + electrical stack    | (K, M, cap_model, switching a, b)      |
-///  | plans   | target-delay bunches + delay-   | stack key + die key + coarsen key +    |
-///  |         | plan matrix                     | (target_model, C, spacing, max_stages, |
-///  |         |                                 |  charge_drivers, max_noise_ratio)      |
+///  | plans   | the finished Instance: target-  | stack key + die key + coarsen key +    |
+///  |         | delay bunches, pair header,     | (target_model, C, spacing, max_stages, |
+///  |         | plan lanes and prefix tables    |  charge_drivers, max_noise_ratio,      |
+///  |         |                                 |  pair_capacity_factor, vias_per_wire,  |
+///  |         |                                 |  vias_per_repeater)                    |
 ///
 /// The design and the WLD are fixed per builder (the architecture is
 /// derived once from the design). A K-column sweep therefore recomputes
 /// only the stack and plans stages; a C-column sweep only the plans
-/// stage; repeating an already-seen option set costs four cache hits
-/// plus assembly. Cached builds are bitwise-identical to cold ones: the
-/// stages run the very same arithmetic in the same order, and a hit
-/// returns a previously computed value unchanged.
+/// stage; repeating an already-seen option set costs four cache hits and
+/// a reference-count bump, because the plans stage holds the Instance
+/// itself (an immutable, shared table set — copying it shares the
+/// tables). Cached builds are bitwise-identical to cold ones: the stages
+/// run the very same arithmetic in the same order, and a hit returns a
+/// previously computed value unchanged.
 ///
 /// Thread-safety: `build` may be called concurrently (the sweep engine
-/// does). Stage lookup/compute is serialized under one mutex — assembly
-/// is microseconds next to the rank DP consuming the instance.
+/// does). Stage lookup/compute is serialized under one mutex; a warm
+/// build holds it for four lookups. A returned Instance owns its share of
+/// the tables, so it stays valid and unchanged after the builder evicts
+/// (or destroys) its cache entry, on any thread.
 
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <mutex>
 #include <tuple>
@@ -57,7 +64,7 @@ struct BuildProfile {
   StageCounters coarsen;  ///< WLD binning + bunching
   StageCounters die;      ///< die sizing (Eq. 6)
   StageCounters stack;    ///< RC extraction + electrical stack
-  StageCounters plans;    ///< targets + (bunch x pair) delay-plan matrix
+  StageCounters plans;    ///< targets + delay plans + instance tables
   std::int64_t builds = 0;
   double total_seconds = 0.0;  ///< wall time inside build(), all stages
 };
@@ -65,19 +72,20 @@ struct BuildProfile {
 class InstanceBuilder {
  public:
   /// Binds the builder to one design and one WLD (in gate pitches).
-  /// Validates both and derives the architecture. Throws util::Error on
-  /// invalid design or empty WLD.
-  InstanceBuilder(DesignSpec design, wld::Wld wld_in_pitches);
+  /// Validates both and derives the architecture. `instance_capacity` is
+  /// how many finished instances (plans-stage entries, ~350 KiB each at
+  /// the 1M-gate baseline) the builder keeps; must be >= 1. Drivers whose
+  /// every build has a new option set pass 1. Throws util::Error on
+  /// invalid design, empty WLD or zero capacity.
+  InstanceBuilder(DesignSpec design, wld::Wld wld_in_pitches,
+                  std::size_t instance_capacity = 64);
 
-  /// Assembles the instance for `options`, reusing every cached stage
-  /// whose key is unchanged. Thread-safe. Throws util::Error on invalid
-  /// options.
+  /// The instance for `options`, reusing every cached stage whose key is
+  /// unchanged; a fully warm build allocates nothing. Thread-safe. Throws
+  /// util::Error on invalid options.
   [[nodiscard]] Instance build(const RankOptions& options);
 
-  /// build() into caller-owned storage: identical resulting instance,
-  /// but every vector is copy-assigned so a reused `out` with matching
-  /// shapes performs zero heap allocation — the per-point form the hot
-  /// sweep/exploration drivers use. Thread-safe.
+  /// `out = build(options)`.
   void build_into(const RankOptions& options, Instance& out);
 
   /// Snapshot of the cache/timing counters.
@@ -95,22 +103,19 @@ class InstanceBuilder {
   using DieKey = double;
   using StackKey = std::tuple<double, double, int, double, double>;
   using PlanKey = std::tuple<StackKey, DieKey, CoarsenKey, int, double,
-                             double, std::int64_t, bool, double>;
+                             double, std::int64_t, bool, double, double,
+                             double, double>;
 
   struct StackStage {
     tech::RcParams rc;
     delay::ElectricalStack stack;
-  };
-  struct PlanStage {
-    std::vector<Bunch> bunches;
-    std::vector<std::vector<DelayPlan>> plans;
   };
 
   [[nodiscard]] const std::vector<wld::WireGroup>& coarsen_stage(
       const RankOptions& options);
   [[nodiscard]] const tech::DieModel& die_stage(const RankOptions& options);
   [[nodiscard]] const StackStage& stack_stage(const RankOptions& options);
-  [[nodiscard]] const PlanStage& plan_stage(
+  [[nodiscard]] const Instance& plan_stage(
       const RankOptions& options, const std::vector<wld::WireGroup>& groups,
       const tech::DieModel& die, const StackStage& electrical);
 
@@ -121,11 +126,10 @@ class InstanceBuilder {
   std::uint64_t fingerprint_ = 0;
 
   mutable std::mutex mutex_;
-  std::vector<PairInfo> pairs_scratch_;  ///< per-build assembly, under mutex_
   util::LruCache<CoarsenKey, std::vector<wld::WireGroup>> coarsen_cache_{8};
   util::LruCache<DieKey, tech::DieModel> die_cache_{32};
   util::LruCache<StackKey, StackStage> stack_cache_{32};
-  util::LruCache<PlanKey, PlanStage> plan_cache_{64};
+  util::LruCache<PlanKey, Instance> plan_cache_;
   BuildProfile profile_;
 };
 

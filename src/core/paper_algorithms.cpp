@@ -39,7 +39,7 @@ WireAssignResult paper_wire_assign(const Instance& inst, std::size_t i1_prime,
     // area r3 is exhausted. The precomputed plan encodes the fixed point
     // of the "compute D_p; add one repeater" loop: the target is reached
     // exactly when stages == plan.stages (never, if !plan.feasible).
-    const DelayPlan& plan = inst.plan(p, j);
+    const DelayPlan plan = inst.plan(p, j);
     const double per_repeater = inst.pair(j).repeater_area;
     // "repeaters cannot be placed at appropriate intervals": for a wire
     // whose plan is infeasible the loop would never satisfy D <= d; the

@@ -174,16 +174,14 @@ SweepResult sweep_parameter(InstanceBuilder& builder, const RankOptions& base,
         util::Stopwatch point_timer;
         try {
           const RankOptions opt = with_value(base, parameter, values[i]);
-          // Reused per worker thread: a warm rebuild with unchanged
-          // shapes (the common case — one parameter moving) allocates
-          // nothing, and neither does the thread-local DP kernel behind
-          // dp_rank_into. Per-pair usage/placement traces are skipped —
-          // sweep consumers (CSV, server, figure tables, checkpoint
-          // resume) read the headline fields only — which keeps the
-          // steady-state point evaluation heap-silent (DESIGN.md
-          // Section 10.6).
-          thread_local Instance inst;
-          builder.build_into(opt, inst);
+          // A warm build is a shared handle into the builder's cache and
+          // allocates nothing, and neither does the thread-local DP kernel
+          // behind dp_rank_into. Per-pair usage/placement traces are
+          // skipped — sweep consumers (CSV, server, figure tables,
+          // checkpoint resume) read the headline fields only — which
+          // keeps the steady-state point evaluation heap-silent
+          // (DESIGN.md Section 10.6).
+          const Instance inst = builder.build(opt);
           DpOptions dp;
           dp.build_trace = false;
           dp.refine_boundary = opt.refine_boundary;

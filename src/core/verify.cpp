@@ -49,7 +49,7 @@ VerifyOutcome verify_placements(const Instance& inst,
     pair_wires[p.pair] += static_cast<double>(p.wires);
 
     if (p.meeting_delay > 0) {
-      const DelayPlan& plan = inst.plan(p.bunch, p.pair);
+      const DelayPlan plan = inst.plan(p.bunch, p.pair);
       if (!plan.feasible) {
         return fail("delay-met wires on a pair with no feasible plan");
       }

@@ -227,14 +227,14 @@ std::string RankService::handle_parsed(const std::string& type,
 
   if (type == "rank") {
     const core::RankOptions options = options_with_overrides(request);
-    // Reused per worker thread (instance, result, and the thread-local
-    // DP kernel inside dp_rank_into): a warm repeat request allocates
-    // nothing in the build/solve stages.
-    thread_local core::Instance inst;
+    // A warm repeat request allocates nothing in the build/solve stages:
+    // the instance is a shared handle into the builder's cache, and the
+    // result and the DP kernel inside dp_rank_into are reused per thread.
+    core::Instance inst;
     {
       const util::ScopedTimer build_timer(
           context != nullptr ? &context->build_seconds : nullptr);
-      builder_.build_into(options, inst);
+      inst = builder_.build(options);
     }
     core::DpOptions dp;
     dp.refine_boundary = options.refine_boundary;

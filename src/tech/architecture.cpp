@@ -1,6 +1,7 @@
 #include "src/tech/architecture.hpp"
 
 #include <sstream>
+#include <string>
 
 #include "src/util/error.hpp"
 #include "src/util/units.hpp"
@@ -32,6 +33,18 @@ LayerGeometry make_geometry(const TierGeometry& tier, double ild_factor) {
   return g;
 }
 
+/// "<prefix><index> (<tier>)", e.g. "G1 (global)". Built by appending:
+/// GCC 12's -Wrestrict misfires on `"G" + std::to_string(...)`, which
+/// inserts at the front of the temporary.
+std::string pair_name(char prefix, int index, const char* tier) {
+  std::string name(1, prefix);
+  name += std::to_string(index);
+  name += " (";
+  name += tier;
+  name += ')';
+  return name;
+}
+
 }  // namespace
 
 Architecture Architecture::build(const TechNode& node,
@@ -43,16 +56,16 @@ Architecture Architecture::build(const TechNode& node,
   pairs.reserve(static_cast<std::size_t>(spec.total_pairs()));
 
   for (int i = 0; i < spec.global_pairs; ++i) {
-    pairs.push_back({"G" + std::to_string(i + 1) + " (global)", Tier::kGlobal,
+    pairs.push_back({pair_name('G', i + 1, "global"), Tier::kGlobal,
                      make_geometry(node.global, spec.ild_height_factor)});
   }
   for (int i = 0; i < spec.semi_global_pairs; ++i) {
-    pairs.push_back({"S" + std::to_string(i + 1) + " (semi-global)",
+    pairs.push_back({pair_name('S', i + 1, "semi-global"),
                      Tier::kSemiGlobal,
                      make_geometry(node.semi_global, spec.ild_height_factor)});
   }
   for (int i = 0; i < spec.local_pairs; ++i) {
-    pairs.push_back({"L" + std::to_string(i + 1) + " (local)", Tier::kLocal,
+    pairs.push_back({pair_name('L', i + 1, "local"), Tier::kLocal,
                      make_geometry(node.local, spec.ild_height_factor)});
   }
   return Architecture(node, spec, std::move(pairs));

@@ -599,12 +599,13 @@ TEST(Metrics, WarmSweepPerPointAllocationsAreZero) {
   }
 
   // The zero-steady-state contract (DESIGN.md Section 10.6): with warm
-  // builder caches, a warm thread-local instance/kernel/result, and the
-  // pool at its high-water footprint, the per-POINT cost of a sweep is
-  // zero operator-new calls. Proven by size independence: a warm
-  // 1000-point sweep performs exactly as many allocations as a warm
-  // 100-point sweep (the remaining fixed per-sweep cost is the result
-  // containers), so each of the extra 900 points allocated nothing.
+  // builder caches (a warm build shares the cached instance), a warm
+  // thread-local kernel/result, and the pool at its high-water
+  // footprint, the per-POINT cost of a sweep is zero operator-new calls.
+  // Proven by size independence: a warm 1000-point sweep performs exactly
+  // as many allocations as a warm 100-point sweep (the remaining fixed
+  // per-sweep cost is the result containers), so each of the extra 900
+  // points allocated nothing.
   const core::DesignSpec design = core::baseline_design("130nm", 500000);
   core::RankOptions options;
   const iarank::wld::Wld wld = core::default_wld(design);
