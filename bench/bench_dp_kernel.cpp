@@ -1,6 +1,6 @@
 /// \file bench_dp_kernel.cpp
 /// \brief Microbenchmarks of the DP hot path at paper scale: the full
-///        solve (cold / warm / pruning off), the delay-free packer it
+///        solve (cold / steady-state kernel), the delay-free packer it
 ///        leans on, and the per-iteration counter profile. Run by
 ///        tests/bench_snapshot.sh to produce BENCH_dp.json.
 
@@ -81,39 +81,6 @@ void BM_DpRankSteady(benchmark::State& state) {
   state.counters["arena_bytes"] = static_cast<double>(last.dp.arena_bytes);
 }
 BENCHMARK(BM_DpRankSteady)->Unit(benchmark::kMicrosecond);
-
-/// The same solve fed its own witness as a warm start — the best case a
-/// sweep neighbour can offer. Results are bitwise-identical to the cold
-/// solve; only the pruning pressure moves.
-void BM_DpRankWarm(benchmark::State& state) {
-  const core::Instance& inst = baseline_instance();
-  core::DpOptions opt;
-  opt.build_trace = false;
-  const core::RankResult cold = core::dp_rank(inst, opt);
-  opt.warm_start = &cold.witness;
-  core::RankResult last;
-  for (auto _ : state) {
-    last = core::dp_rank(inst, opt);
-    benchmark::DoNotOptimize(last.rank);
-  }
-  state.counters["warm_hit"] = last.dp.warm_start_hit ? 1.0 : 0.0;
-  state.counters["pruned_entries"] =
-      static_cast<double>(last.dp.pruned_entries);
-}
-BENCHMARK(BM_DpRankWarm)->Unit(benchmark::kMicrosecond);
-
-/// Pruning disabled (the differential-test configuration): the gap to
-/// BM_DpRankCold is the incumbent bound's contribution.
-void BM_DpRankNoPruning(benchmark::State& state) {
-  const core::Instance& inst = baseline_instance();
-  core::DpOptions opt;
-  opt.build_trace = false;
-  opt.enable_pruning = false;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::dp_rank(inst, opt).rank);
-  }
-}
-BENCHMARK(BM_DpRankNoPruning)->Unit(benchmark::kMicrosecond);
 
 /// The Lemma-1 delay-free packer on its own — the per-candidate cost the
 /// best-first search pays for each verification.

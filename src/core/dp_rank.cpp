@@ -41,7 +41,6 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
-#include <limits>
 #include <optional>
 #include <vector>
 
@@ -58,11 +57,8 @@ namespace iarank::core {
 namespace {
 
 // DP effort mirrored into the process registry once per solve. Every
-// count except pruned_entries and the warm-start pair is deterministic
-// per instance, so those totals are identical across thread counts and
-// hosts. Pruned/warm counts depend on which warm witness a sweep point
-// received, which is scheduling-dependent — results are not (DESIGN.md
-// Section 10.4).
+// count is a deterministic function of the instance, so the totals are
+// identical across thread counts and hosts.
 util::Counter& kDpRuns = util::MetricsRegistry::counter(
     "iarank_dp_runs_total", "dp_rank invocations");
 util::Counter& kDpCells = util::MetricsRegistry::counter(
@@ -71,15 +67,6 @@ util::Counter& kDpHeapPops = util::MetricsRegistry::counter(
     "iarank_dp_heap_pops_total", "best-first candidates examined");
 util::Counter& kDpVerifyCalls = util::MetricsRegistry::counter(
     "iarank_dp_verify_calls_total", "free-pack verifications run by the DP");
-util::Counter& kDpPrunedEntries = util::MetricsRegistry::counter(
-    "iarank_dp_pruned_entries_total",
-    "heap pushes skipped by incumbent/warm-start bounds");
-util::Counter& kDpWarmChecks = util::MetricsRegistry::counter(
-    "iarank_dp_warm_start_checks_total",
-    "solves offered a warm-start witness");
-util::Counter& kDpWarmHits = util::MetricsRegistry::counter(
-    "iarank_dp_warm_start_hits_total",
-    "warm-start witnesses verified feasible on the new instance");
 util::Counter& kDpFrontierDominated = util::MetricsRegistry::counter(
     "iarank_dp_frontier_dominated_total",
     "frontier newcomers dropped as dominated");
@@ -119,10 +106,8 @@ struct HeapEntry {
 
 /// Strict total order: no two live entries compare equivalent, so the pop
 /// sequence is the fully sorted order regardless of heap layout. That is
-/// what makes push-time pruning invisible — removing entries that would
-/// never pop cannot reorder ties among the ones that do. It is also why a
-/// PoolVec + push_heap/pop_heap pops the exact sequence the reference's
-/// std::priority_queue does.
+/// why a PoolVec + push_heap/pop_heap (and the selection pops before it)
+/// pops the exact sequence the reference's std::priority_queue does.
 struct HeapCmp {
   bool operator()(const HeapEntry& a, const HeapEntry& b) const {
     if (a.key != b.key) return a.key < b.key;  // max-heap on rank
@@ -146,11 +131,8 @@ void publish_stats(const RankResult::DpStats& stats) {
   kDpCells.inc(stats.arena_nodes);
   kDpHeapPops.inc(stats.heap_pops);
   kDpVerifyCalls.inc(stats.verify_calls);
-  kDpPrunedEntries.inc(stats.pruned_entries);
   kDpFrontierDominated.inc(stats.frontier_dominated);
   kDpFrontierErased.inc(stats.frontier_erased);
-  if (stats.warm_start_checked) kDpWarmChecks.inc();
-  if (stats.warm_start_hit) kDpWarmHits.inc();
   kDpMaxFrontier.set_max(stats.max_frontier);
   kDpArenaBytes.set_max(stats.arena_bytes);
 }
@@ -198,15 +180,6 @@ struct DpKernel::Impl {
   }
 
   RankResult::DpStats stats_;
-
-  /// Strict lower bound from a verified warm-start witness. Unverified
-  /// pushes with key < warm_bound_ are dropped; the witness itself is
-  /// never pushed, so it can never be returned (DESIGN.md Section 10.4).
-  std::int64_t warm_bound_ = std::numeric_limits<std::int64_t>::min();
-  /// Best verified key currently in the heap. Unverified pushes with
-  /// key <= incumbent_ are dropped: verified entries win ties, so such an
-  /// entry could never pop before the search terminates.
-  std::int64_t incumbent_ = std::numeric_limits<std::int64_t>::min();
 
   // --- per-solve lanes (pool-backed, re-attached every solve) -----------
 
@@ -448,10 +421,6 @@ struct DpKernel::Impl {
         cost.rep_count = totals.rep_count;
       }
       key = base + refine_extra(j, b, c, arena_r_[ni], cost, capacity);
-    }
-    if (key < warm_bound_ || (opt_.enable_pruning && key <= incumbent_)) {
-      ++stats_.pruned_entries;
-      return;
     }
     heap_push({key, false, node, static_cast<std::int32_t>(j), b, c, 0});
   }
@@ -817,7 +786,7 @@ struct DpKernel::Impl {
     }
   }
 
-  // --- verification / warm start / reconstruction ------------------------
+  // --- verification / reconstruction ------------------------------------
 
   [[nodiscard]] FreePackInput pack_input(std::size_t j, std::int64_t b,
                                          std::int64_t c, std::int64_t node_z,
@@ -870,68 +839,6 @@ struct DpKernel::Impl {
       if (w == 0) break;
     }
     return std::nullopt;
-  }
-
-  void try_warm_start() {
-    if (opt_.warm_start == nullptr) return;
-    const DpWitness& wit = *opt_.warm_start;
-    if (!wit.valid()) return;
-    stats_.warm_start_checked = true;
-
-    const auto jb = static_cast<std::size_t>(wit.break_pair);
-    if (jb >= m_) return;
-    if (wit.first_bunch != wit.chunk_first.back()) return;
-    if (wit.first_bunch < 0 || wit.chunk_len < 0 ||
-        wit.first_bunch + wit.chunk_len > n_bunches_) {
-      return;
-    }
-    if (wit.chunk_first.front() != 0) return;
-    for (std::size_t j = 0; j + 1 < wit.chunk_first.size(); ++j) {
-      if (wit.chunk_first[j] > wit.chunk_first[j + 1]) return;
-    }
-
-    // Replay the witness prefix on THIS instance, chunk by chunk.
-    double r = 0.0;
-    std::int64_t z = 0;
-    for (std::size_t j = 0; j < jb; ++j) {
-      const std::int64_t lo = wit.chunk_first[j];
-      const std::int64_t hi = wit.chunk_first[j + 1];
-      const double wires_above = static_cast<double>(wb_[lo]);
-      const double capacity =
-          inst_->pair_capacity() -
-          blockage_j(j, wires_above, static_cast<double>(z));
-      if (hi == lo) {
-        if (capacity < -area_tol()) return;
-        continue;
-      }
-      const ChunkCost cost = chunk_cost(lo, j, hi - lo, r, capacity);
-      if (!cost.ok) return;
-      r += cost.rep_area;
-      z += cost.rep_count;
-    }
-
-    const double wires_above = static_cast<double>(wb_[wit.first_bunch]);
-    const double capacity =
-        inst_->pair_capacity() -
-        blockage_j(jb, wires_above, static_cast<double>(z));
-    const ChunkCost cost =
-        chunk_cost(wit.first_bunch, jb, wit.chunk_len, r, capacity);
-    if (!cost.ok) return;
-    const std::int64_t base =
-        wb_[std::min(wit.first_bunch + wit.chunk_len, n_bunches_)];
-    const std::int64_t w_extra =
-        refine_extra(jb, wit.first_bunch, wit.chunk_len, r, cost, capacity);
-    for (const std::int64_t w : {w_extra, std::int64_t{0}}) {
-      if (free_pack_feasible(
-              *inst_,
-              pack_input(jb, wit.first_bunch, wit.chunk_len, z, cost, w),
-              /*count_metrics=*/false)) {
-        warm_bound_ = base + w;
-        stats_.warm_start_hit = true;
-        return;
-      }
-      if (w == 0) break;
-    }
   }
 
   void assemble(const HeapEntry& best, RankResult& res) const {
@@ -1110,8 +1017,6 @@ struct DpKernel::Impl {
     vias_per_wire_ = inst.vias().vias_per_wire;
     vias_per_repeater_ = inst.vias().vias_per_repeater;
     stats_ = {};
-    warm_bound_ = std::numeric_limits<std::int64_t>::min();
-    incumbent_ = std::numeric_limits<std::int64_t>::min();
     pool_.reset();
     attach_lanes();
     heapified_ = false;
@@ -1124,10 +1029,6 @@ struct DpKernel::Impl {
       finish(out, total);
       return;
     }
-
-    // Establish the warm-start bound before the forward pass so it prunes
-    // pushes from the start.
-    try_warm_start();
 
     {
       TRACE_SPAN("dp.forward");
@@ -1161,11 +1062,7 @@ struct DpKernel::Impl {
         return;
       }
       ++stats_.verify_calls;
-      const auto verified = verify(e);
-      if (verified) {
-        incumbent_ = std::max(incumbent_, verified->key);
-        heap_push(*verified);
-      }
+      if (const auto verified = verify(e)) heap_push(*verified);
       if (e.c > 0) {
         // Retry this state's next-lower break point later.
         const auto j = static_cast<std::size_t>(e.j);

@@ -45,21 +45,6 @@ struct DpOptions {
   bool build_trace = true;       ///< reconstruct per-pair usage
   bool refine_boundary = true;   ///< wire-level extension into failing bunch
 
-  /// Prune unverified heap pushes whose optimistic key cannot beat the
-  /// best verified entry already in the heap. Exact: verified entries win
-  /// ties, so a pruned entry could never pop before the search terminates.
-  /// Off only for the differential property test.
-  bool enable_pruning = true;
-
-  /// Witness of a previously solved (nearby) instance. The solver verifies
-  /// it against THIS instance first; when feasible, its key becomes a
-  /// strict lower bound pruning unverified pushes. The warm candidate is
-  /// never itself returnable, and only entries the search would never
-  /// examine are pruned, so the result — rank, witness, placements — is
-  /// bitwise-identical whether or not the warm start hits (DESIGN.md
-  /// Section 10.4).
-  const DpWitness* warm_start = nullptr;
-
   /// Validate the sorted-frontier invariant (r strictly ascending, z
   /// strictly descending) after every bucket the forward sweep line
   /// materializes. Test-only: O(frontier) per bucket.

@@ -16,7 +16,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <limits>
 #include <optional>
 #include <queue>
 #include <vector>
@@ -109,9 +108,6 @@ class ReferenceSolver {
   std::priority_queue<HeapEntry, std::vector<HeapEntry>, HeapCmp> heap_;
   RankResult::DpStats stats_;
 
-  std::int64_t warm_bound_ = std::numeric_limits<std::int64_t>::min();
-  std::int64_t incumbent_ = std::numeric_limits<std::int64_t>::min();
-
   [[nodiscard]] double budget_tol() const {
     return inst_.repeater_budget() * kRelTol + 1e-30;
   }
@@ -131,7 +127,6 @@ class ReferenceSolver {
   void activate(const ActiveSource& s);
   void merge_and_materialize(std::size_t level, std::size_t t);
   void forward_pass();
-  void try_warm_start();
   void push_iterator(std::int32_t node, std::size_t j, std::int64_t b,
                      std::int64_t c);
   [[nodiscard]] std::int64_t refine_extra(std::size_t j, std::int64_t b,
@@ -215,10 +210,6 @@ void ReferenceSolver::push_iterator(std::int32_t node, std::size_t j,
       cost.rep_count = totals.rep_count;
     }
     key = base + refine_extra(j, b, c, nd.r, cost, capacity);
-  }
-  if (key < warm_bound_ || (opt_.enable_pruning && key <= incumbent_)) {
-    ++stats_.pruned_entries;
-    return;
   }
   heap_.push({key, false, node, static_cast<std::int32_t>(j), b, c, 0});
 }
@@ -442,69 +433,6 @@ std::optional<HeapEntry> ReferenceSolver::verify(const HeapEntry& e) const {
   return std::nullopt;
 }
 
-void ReferenceSolver::try_warm_start() {
-  if (opt_.warm_start == nullptr) return;
-  const DpWitness& wit = *opt_.warm_start;
-  if (!wit.valid()) return;
-  stats_.warm_start_checked = true;
-
-  const auto jb = static_cast<std::size_t>(wit.break_pair);
-  if (jb >= m_) return;
-  if (wit.first_bunch != wit.chunk_first.back()) return;
-  if (wit.first_bunch < 0 || wit.chunk_len < 0 ||
-      wit.first_bunch + wit.chunk_len > n_bunches_) {
-    return;
-  }
-  if (wit.chunk_first.front() != 0) return;
-  for (std::size_t j = 0; j + 1 < wit.chunk_first.size(); ++j) {
-    if (wit.chunk_first[j] > wit.chunk_first[j + 1]) return;
-  }
-
-  double r = 0.0;
-  std::int64_t z = 0;
-  for (std::size_t j = 0; j < jb; ++j) {
-    const std::int64_t lo = wit.chunk_first[j];
-    const std::int64_t hi = wit.chunk_first[j + 1];
-    const double wires_above =
-        static_cast<double>(inst_.wires_before(static_cast<std::size_t>(lo)));
-    const double capacity =
-        inst_.pair_capacity() -
-        inst_.blockage(j, wires_above, static_cast<double>(z));
-    if (hi == lo) {
-      if (capacity < -area_tol()) return;
-      continue;
-    }
-    const ChunkCost cost = chunk_cost(lo, j, hi - lo, r, capacity);
-    if (!cost.ok) return;
-    r += cost.rep_area;
-    z += cost.rep_count;
-  }
-
-  const double wires_above = static_cast<double>(
-      inst_.wires_before(static_cast<std::size_t>(wit.first_bunch)));
-  const double capacity =
-      inst_.pair_capacity() -
-      inst_.blockage(jb, wires_above, static_cast<double>(z));
-  const ChunkCost cost =
-      chunk_cost(wit.first_bunch, jb, wit.chunk_len, r, capacity);
-  if (!cost.ok) return;
-  const std::int64_t base = inst_.wires_before(static_cast<std::size_t>(
-      std::min(wit.first_bunch + wit.chunk_len, n_bunches_)));
-  const std::int64_t w_extra =
-      refine_extra(jb, wit.first_bunch, wit.chunk_len, r, cost, capacity);
-  for (const std::int64_t w : {w_extra, std::int64_t{0}}) {
-    if (free_pack_feasible(
-            inst_,
-            pack_input(jb, wit.first_bunch, wit.chunk_len, z, cost, w),
-            /*count_metrics=*/false)) {
-      warm_bound_ = base + w;
-      stats_.warm_start_hit = true;
-      return;
-    }
-    if (w == 0) break;
-  }
-}
-
 RankResult ReferenceSolver::assemble(const HeapEntry& best) const {
   RankResult res;
   res.total_wires = inst_.total_wires();
@@ -642,8 +570,6 @@ RankResult ReferenceSolver::solve() {
     return res;
   }
 
-  try_warm_start();
-
   {
     util::Stopwatch forward;
     forward_pass();
@@ -663,10 +589,7 @@ RankResult ReferenceSolver::solve() {
     }
     ++stats_.verify_calls;
     const auto verified = verify(e);
-    if (verified) {
-      incumbent_ = std::max(incumbent_, verified->key);
-      heap_.push(*verified);
-    }
+    if (verified) heap_.push(*verified);
     if (e.c > 0) {
       push_iterator(e.node, static_cast<std::size_t>(e.j), e.b, e.c - 1);
     }

@@ -212,9 +212,7 @@ void maybe_crash_for_test(std::int64_t index) {
 // ---------------------------------------------------------------------------
 // Point evaluation, shared by workers, the salvage children and the
 // coordinator's in-process path. One lazily-built InstanceBuilder per
-// (node, rent) group so stage caches are reused across the grid, plus a
-// per-group warm-start slot (prune-only: results are bitwise-identical
-// with any witness, see DpOptions::warm_start).
+// (node, rent) group so stage caches are reused across the grid.
 
 class PointEvaluator {
  public:
@@ -244,30 +242,15 @@ class PointEvaluator {
       DpOptions dp;
       dp.build_trace = false;  // journal carries headline fields only
       dp.refine_boundary = opt.refine_boundary;
-      DpWitness warm_witness;
-      {
-        const std::scoped_lock lock(group.mutex);
-        if (group.warm_index >= 0 && group.warm.valid()) {
-          warm_witness = group.warm;
-          dp.warm_start = &warm_witness;
-        }
-      }
       dp_rank_into(inst, dp, point.result);
       point.status = util::Status::make_ok();
-      if (point.result.all_assigned && point.result.witness.valid()) {
-        const std::scoped_lock lock(group.mutex);
-        if (index > group.warm_index) {
-          group.warm_index = index;
-          group.warm = point.result.witness;
-        }
-      }
     } catch (const std::exception& e) {
       point.result = RankResult{};
       point.status = util::Status::from_exception(e);
     }
     // The journal payload must be a pure function of the grid index: zero
-    // the wall-clock / warm-start-dependent stats (they are in the codec)
-    // and the witness so a chaos run's records are bitwise-identical to a
+    // the stats, whose timings are wall-clock (they are in the codec), and
+    // the witness so a chaos run's records are bitwise-identical to a
     // clean run's.
     point.result.dp = RankResult::DpStats{};
     point.result.witness = DpWitness{};
@@ -283,8 +266,6 @@ class PointEvaluator {
   struct Group {
     std::mutex mutex;
     std::unique_ptr<InstanceBuilder> builder;
-    std::int64_t warm_index = -1;
-    DpWitness warm;
   };
 
   const ExploreSpec& spec_;

@@ -34,9 +34,9 @@ namespace {
 /// the heap (DESIGN.md Section 10.6). The take counter is maintained
 /// either way, so the free-pack metrics are identical on both paths.
 bool pack_core(const Instance& inst, const FreePackInput& input,
-               bool count_metrics, std::vector<BunchPlacement>* out) {
+               std::vector<BunchPlacement>* out) {
   util::maybe_inject(kSiteFreePack);
-  if (count_metrics) kFreePackCalls.inc();
+  kFreePackCalls.inc();
   const std::size_t m = inst.pair_count();
   const std::size_t n_bunches = inst.bunch_count();
   iarank::util::require(input.first_pair <= m,
@@ -151,21 +151,21 @@ bool pack_core(const Instance& inst, const FreePackInput& input,
     const double reps_above = fixed_blockage ? input.repeaters_above_first
                                              : input.repeaters_total;
     if (area > die + tol - inst.blockage(q, wires_above, reps_above)) {
-      if (count_metrics) kFreePackTakes.inc(takes);
+      kFreePackTakes.inc(takes);
       return false;
     }
   }
 
-  if (count_metrics) kFreePackTakes.inc(takes);
+  kFreePackTakes.inc(takes);
   return to_place == 0;  // wires left over fail the topmost available pair
 }
 
 }  // namespace
 
 std::optional<std::vector<BunchPlacement>> free_pack_detailed(
-    const Instance& inst, const FreePackInput& input, bool count_metrics) {
+    const Instance& inst, const FreePackInput& input) {
   std::vector<BunchPlacement> placements;
-  if (!pack_core(inst, input, count_metrics, &placements)) {
+  if (!pack_core(inst, input, &placements)) {
     return std::nullopt;
   }
   return placements;
@@ -190,9 +190,8 @@ std::optional<std::vector<PairLoad>> free_pack(const Instance& inst,
   return loads;
 }
 
-bool free_pack_feasible(const Instance& inst, const FreePackInput& input,
-                        bool count_metrics) {
-  return pack_core(inst, input, count_metrics, nullptr);
+bool free_pack_feasible(const Instance& inst, const FreePackInput& input) {
+  return pack_core(inst, input, nullptr);
 }
 
 }  // namespace iarank::core

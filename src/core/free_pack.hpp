@@ -56,20 +56,14 @@ struct PairLoad {
 [[nodiscard]] std::optional<std::vector<PairLoad>> free_pack(
     const Instance& inst, const FreePackInput& input);
 
-/// Convenience: feasibility only. `count_metrics = false` leaves the
-/// process-wide free-pack counters untouched — used by the DP's
-/// warm-start verification, whose occurrence depends on sweep scheduling
-/// and must not perturb the deterministic counter totals (the per-solve
-/// work it replaces is tallied under the warm-start counters instead).
+/// Convenience: feasibility only.
 [[nodiscard]] bool free_pack_feasible(const Instance& inst,
-                                      const FreePackInput& input,
-                                      bool count_metrics = true);
+                                      const FreePackInput& input);
 
 /// Detailed variant: per (pair, bunch) placements of the packed suffix
 /// (meeting_delay is 0 for all rows — this is the delay-free phase), or
 /// nullopt when the suffix does not fit. free_pack() aggregates this.
 [[nodiscard]] std::optional<std::vector<BunchPlacement>> free_pack_detailed(
-    const Instance& inst, const FreePackInput& input,
-    bool count_metrics = true);
+    const Instance& inst, const FreePackInput& input);
 
 }  // namespace iarank::core

@@ -35,24 +35,17 @@ struct BunchPlacement {
 
 /// Compact description of the winning break candidate of a DP solve: the
 /// prefix partition (first bunch of each pair's delay-met chunk), the
-/// break pair and its chunk, and the boundary-refinement wire count. A
-/// sweep feeds the previous point's witness into the next solve as a
-/// warm-start lower bound (prune-only — results never depend on it).
+/// break pair and its chunk, and the boundary-refinement wire count.
 struct DpWitness {
   /// size break_pair + 1; [j] = first bunch of pair j's chunk. Inline up
-  /// to 24 pairs: witnesses are copied through the sweep warm-start slot
-  /// on every point, and paper-scale stacks fit the buffer, keeping those
-  /// copies off the heap (the steady-state zero-allocation contract).
+  /// to 24 pairs: paper-scale stacks fit the buffer, keeping the witness
+  /// of every result (and its copies) off the heap (the steady-state
+  /// zero-allocation contract).
   util::SmallVec<std::int64_t, 24> chunk_first;
   std::int64_t break_pair = -1;  ///< pair whose chunk ends the prefix
   std::int64_t first_bunch = 0;  ///< == chunk_first[break_pair]
   std::int64_t chunk_len = 0;    ///< delay-met bunches on the break pair
   std::int64_t w_extra = 0;      ///< refined wires of the first failing bunch
-
-  [[nodiscard]] bool valid() const {
-    return break_pair >= 0 &&
-           chunk_first.size() == static_cast<std::size_t>(break_pair) + 1;
-  }
 };
 
 /// Outcome of one rank evaluation.
@@ -88,12 +81,8 @@ struct RankResult {
     std::int64_t max_frontier = 0; ///< largest per-(pair,bunch) frontier
     std::int64_t heap_pops = 0;    ///< best-first candidates examined
     std::int64_t verify_calls = 0; ///< free-pack verifications run
-    /// Heap pushes skipped because the entry's optimistic key could not
-    /// beat the warm-start bound or the in-heap verified incumbent. The
-    /// pruned entries are exactly those the search would never pop, so
-    /// results are unchanged; with a warm start the count depends on
-    /// which witness arrived, so it is NOT comparable across thread
-    /// counts (unlike the fields above).
+    /// Always 0: the DP prunes no heap push. Kept only because the
+    /// perfbench ledger (perfbench/src/{ledger,workloads}.cpp) reads it.
     std::int64_t pruned_entries = 0;
     std::int64_t frontier_dominated = 0;  ///< newcomers dropped as dominated
     std::int64_t frontier_erased = 0;     ///< incumbents erased by newcomers
@@ -101,13 +90,11 @@ struct RankResult {
     /// frontiers, wake lists, heap storage). Deterministic per instance;
     /// 0 for the scalar reference path, which allocates from the heap.
     std::int64_t arena_bytes = 0;
-    bool warm_start_checked = false;  ///< a warm witness was offered
-    bool warm_start_hit = false;      ///< ... and verified feasible here
   };
   DpStats dp;
 
   /// Winning break candidate, filled by dp_rank whenever all_assigned —
-  /// independent of build_trace (it is the sweep warm-start payload).
+  /// independent of build_trace.
   DpWitness witness;
 
   /// Per-pair trace of the winning assignment (top pair first). Filled by

@@ -154,18 +154,6 @@ SweepResult sweep_parameter(InstanceBuilder& builder, const RankOptions& base,
   // the catch: losing the checkpoint file is a run-level failure.
   std::atomic<std::int64_t> failed_nanos{0};
 
-  // Warm-start slot: the witness of the most recent completed lower-index
-  // point. A point copies the slot out under the lock and solves against
-  // the copy, so a concurrent update never races the solve. Whether a
-  // point finds a witness here depends on completion order — which is why
-  // the pruned/warm counters are scheduling-dependent — but the solve's
-  // result does not (warm start is prune-only).
-  struct WarmSlot {
-    std::mutex mutex;
-    std::int64_t index = -1;
-    DpWitness witness;
-  } warm;
-
   util::ThreadPool::shared().parallel_for(
       values.size(), run.threads, [&](std::size_t i) {
         if (done[i]) return;
@@ -185,26 +173,8 @@ SweepResult sweep_parameter(InstanceBuilder& builder, const RankOptions& base,
           DpOptions dp;
           dp.build_trace = false;
           dp.refine_boundary = opt.refine_boundary;
-          DpWitness warm_witness;
-          if (run.warm_start) {
-            const std::scoped_lock lock(warm.mutex);
-            if (warm.index >= 0 &&
-                warm.index < static_cast<std::int64_t>(i) &&
-                warm.witness.valid()) {
-              warm_witness = warm.witness;
-              dp.warm_start = &warm_witness;
-            }
-          }
           dp_rank_into(inst, dp, point.result);
           point.status = util::Status::make_ok();
-          if (run.warm_start && point.result.all_assigned &&
-              point.result.witness.valid()) {
-            const std::scoped_lock lock(warm.mutex);
-            if (static_cast<std::int64_t>(i) > warm.index) {
-              warm.index = static_cast<std::int64_t>(i);
-              warm.witness = point.result.witness;
-            }
-          }
         } catch (const std::exception& e) {
           point.result = RankResult{};
           point.status = util::Status::from_exception(e);
@@ -262,8 +232,6 @@ SweepResult sweep_parameter(InstanceBuilder& builder, const RankOptions& base,
     out.profile.dp_arena_nodes += p.result.dp.arena_nodes;
     out.profile.dp_heap_pops += p.result.dp.heap_pops;
     out.profile.dp_verify_calls += p.result.dp.verify_calls;
-    out.profile.dp_pruned_entries += p.result.dp.pruned_entries;
-    if (p.result.dp.warm_start_hit) ++out.profile.dp_warm_start_hits;
     out.profile.dp_max_frontier =
         std::max(out.profile.dp_max_frontier, p.result.dp.max_frontier);
   }

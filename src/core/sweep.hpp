@@ -52,15 +52,6 @@ struct SweepProfile {
   std::int64_t dp_max_frontier = 0;  ///< largest frontier seen at any point
   std::int64_t dp_heap_pops = 0;     ///< best-first candidates examined
   std::int64_t dp_verify_calls = 0;  ///< free-pack verifications run
-  /// Heap pushes skipped by incumbent/warm-start bounds, all points.
-  /// Results never depend on pruning, but this total does depend on which
-  /// warm witness each point received, so — unlike the counts above — it
-  /// is NOT comparable across thread counts.
-  std::int64_t dp_pruned_entries = 0;
-  /// Points whose warm-start witness verified on their instance (equals
-  /// points - 1 for a single-threaded warm sweep of a smooth grid).
-  /// Scheduling-dependent, like dp_pruned_entries.
-  std::int64_t dp_warm_start_hits = 0;
   double total_seconds = 0.0;        ///< wall time of the whole sweep
   unsigned threads = 1;              ///< parallelism requested
   std::int64_t failed_points = 0;    ///< points with a non-ok status
@@ -93,14 +84,6 @@ struct SweepRunOptions {
   /// Off still flushes per point, bounding loss to what the kernel had
   /// not written back at the crash.
   bool fsync_checkpoint = true;
-
-  /// Feed each point the witness of the most recent completed lower-index
-  /// point as a DP warm start. Neighbouring sweep points have similar
-  /// optima, so the verified witness prunes most of the next solve's heap
-  /// traffic. Strictly prune-only: results are bitwise-identical with the
-  /// flag on or off, at any thread count (DESIGN.md Section 10.4) — only
-  /// the wall time and the scheduling-dependent pruned/warm counters move.
-  bool warm_start = true;
 };
 
 /// Evaluates `values` of `parameter`, all other options at `base`.

@@ -3,11 +3,11 @@
 ///
 /// `SmallVec<T, N>` stores up to N elements inline and spills to the heap
 /// beyond that. The DP witness (`DpWitness::chunk_first`, one entry per
-/// layer-pair in the prefix) rides in every RankResult and is copied into
-/// and out of the sweep engine's warm-start slot on every point; with the
-/// paper-scale stacks (<= 14 pairs) the inline buffer makes those copies
-/// allocation-free, which the steady-state zero-allocation contract
-/// (DESIGN.md Section 10.6) depends on.
+/// layer-pair in the prefix) rides in every RankResult and is rewritten on
+/// every solve; with the paper-scale stacks (<= 14 pairs) the inline buffer
+/// keeps that and every copy of the result allocation-free, which the
+/// steady-state zero-allocation contract (DESIGN.md Section 10.6) depends
+/// on.
 
 #pragma once
 

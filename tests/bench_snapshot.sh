@@ -38,7 +38,7 @@ fi
   --benchmark_format=json > "$WORK/sweep.json"
 
 # Deterministic DP effort of one single-threaded Table 4 C sweep, from
-# the process metrics registry (prune/warm counters included), plus the
+# the process metrics registry (every iarank_dp_* series), plus the
 # kernel pool accounting (arena bytes per solve, pool high water, chunks
 # ever allocated — all exact for a fixed instance at --jobs 1).
 "$BUILD"/tools/rank_tool "$CONFIG" sweep C 0.5e9 1.7e9 13 --jobs 1 \

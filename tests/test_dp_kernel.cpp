@@ -7,12 +7,10 @@
 ///  * the sorted-frontier invariant holds after every bucket the forward
 ///    sweep line materializes (DpOptions::check_invariants throws on
 ///    violation);
-///  * incumbent pruning and witness warm starts are prune-only: the full
-///    RankResult — rank, certificate, placements, witness — is identical
-///    with them on or off, across a 200-seed scenario block;
 ///  * the data-oriented v2 kernel is pinned bitwise against the retained
-///    scalar reference path (dp_rank_reference), deterministic effort
-///    counters included, over the same seed block and option variants;
+///    scalar reference path (dp_rank_reference) — rank, certificate,
+///    placements, witness and the deterministic effort counters — over a
+///    200-seed scenario block and the option variants;
 ///  * one DpKernel reused across every scenario produces results identical
 ///    to a fresh kernel per solve, and solve_into into dirty storage
 ///    equals solve into fresh storage.
@@ -25,7 +23,6 @@
 #include "src/core/dp_rank.hpp"
 #include "src/core/instance.hpp"
 #include "src/core/selfcheck.hpp"
-#include "tests/helpers.hpp"
 
 namespace core = iarank::core;
 
@@ -79,8 +76,6 @@ void expect_identical_with_stats(const core::RankResult& a,
   EXPECT_EQ(a.dp.pruned_entries, b.dp.pruned_entries);
   EXPECT_EQ(a.dp.frontier_dominated, b.dp.frontier_dominated);
   EXPECT_EQ(a.dp.frontier_erased, b.dp.frontier_erased);
-  EXPECT_EQ(a.dp.warm_start_checked, b.dp.warm_start_checked);
-  EXPECT_EQ(a.dp.warm_start_hit, b.dp.warm_start_hit);
 }
 
 }  // namespace
@@ -169,69 +164,6 @@ TEST(DpKernelFrontier, SortInvariantHoldsOnEveryMaterializedBucket) {
   }
 }
 
-// --- pruning and warm starts are prune-only ------------------------------------
-
-TEST(DpKernelPruning, OnOffIdenticalResultAcrossSeedBlock) {
-  for (std::uint64_t seed = 0; seed < kSeeds; ++seed) {
-    const core::Instance inst = core::sample_scenario(seed).instance();
-    core::DpOptions no_prune;
-    no_prune.enable_pruning = false;
-    expect_identical(core::dp_rank(inst, {}), core::dp_rank(inst, no_prune));
-  }
-}
-
-TEST(DpKernelWarmStart, OwnWitnessIsPruneOnly) {
-  for (std::uint64_t seed = 0; seed < kSeeds; ++seed) {
-    const core::Instance inst = core::sample_scenario(seed).instance();
-    const core::RankResult cold = core::dp_rank(inst, {});
-    core::DpOptions warm_opt;
-    warm_opt.warm_start = &cold.witness;  // the best witness there is
-    const core::RankResult warm = core::dp_rank(inst, warm_opt);
-    expect_identical(cold, warm);
-    if (cold.all_assigned) {
-      EXPECT_TRUE(warm.dp.warm_start_checked) << "seed " << seed;
-      EXPECT_TRUE(warm.dp.warm_start_hit) << "seed " << seed;
-    }
-  }
-}
-
-TEST(DpKernelWarmStart, ForeignWitnessIsPruneOnly) {
-  // Witness from a *different* scenario: shapes rarely line up, and when
-  // they do the bound must still be admissible. Either way the result is
-  // identical to the cold solve.
-  for (std::uint64_t seed = 0; seed + 1 < kSeeds; ++seed) {
-    const core::Instance inst = core::sample_scenario(seed).instance();
-    const core::RankResult neighbour =
-        core::dp_rank(core::sample_scenario(seed + 1).instance(), {});
-    const core::RankResult cold = core::dp_rank(inst, {});
-    core::DpOptions warm_opt;
-    warm_opt.warm_start = &neighbour.witness;
-    expect_identical(cold, core::dp_rank(inst, warm_opt));
-  }
-}
-
-TEST(DpKernelWarmStart, InvalidWitnessIsIgnored) {
-  const core::Instance inst =
-      iarank::testing::random_instance(7, {.allow_infeasible_plans = false});
-  const core::RankResult cold = core::dp_rank(inst, {});
-
-  core::DpWitness bogus;
-  bogus.break_pair = 99;  // out of range
-  bogus.chunk_first.assign(100, 0);
-  core::DpOptions opt;
-  opt.warm_start = &bogus;
-  const core::RankResult guarded = core::dp_rank(inst, opt);
-  expect_identical(cold, guarded);
-  EXPECT_FALSE(guarded.dp.warm_start_hit);
-
-  core::DpWitness malformed;  // valid() == false: never even checked
-  core::DpOptions opt2;
-  opt2.warm_start = &malformed;
-  const core::RankResult skipped = core::dp_rank(inst, opt2);
-  expect_identical(cold, skipped);
-  EXPECT_FALSE(skipped.dp.warm_start_checked);
-}
-
 // --- v2 kernel vs the retained scalar reference --------------------------------
 
 TEST(DpKernelReference, BitwiseEqualAcrossSeedBlock) {
@@ -244,11 +176,9 @@ TEST(DpKernelReference, BitwiseEqualAcrossSeedBlock) {
 
 TEST(DpKernelReference, BitwiseEqualUnderOptionVariants) {
   // Exercise the option axes that change which kernel paths run: trace
-  // reconstruction off, boundary refinement off, pruning off, and a warm
-  // start from the instance's own witness.
+  // reconstruction off and boundary refinement off.
   for (std::uint64_t seed = 0; seed < kSeeds; seed += 4) {
     const core::Instance inst = core::sample_scenario(seed).instance();
-    const core::RankResult cold = core::dp_rank(inst, {});
 
     core::DpOptions no_trace;
     no_trace.build_trace = false;
@@ -259,16 +189,6 @@ TEST(DpKernelReference, BitwiseEqualUnderOptionVariants) {
     no_refine.refine_boundary = false;
     expect_identical_with_stats(core::dp_rank(inst, no_refine),
                                 core::dp_rank_reference(inst, no_refine));
-
-    core::DpOptions no_prune;
-    no_prune.enable_pruning = false;
-    expect_identical_with_stats(core::dp_rank(inst, no_prune),
-                                core::dp_rank_reference(inst, no_prune));
-
-    core::DpOptions warm;
-    warm.warm_start = &cold.witness;
-    expect_identical_with_stats(core::dp_rank(inst, warm),
-                                core::dp_rank_reference(inst, warm));
   }
 }
 

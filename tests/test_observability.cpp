@@ -184,6 +184,8 @@ TEST(Stopwatch, ScopedTimerAccumulatesIntoSinkAndHistogram) {
 const char* const kDeterministicCounters[] = {
     "iarank_dp_runs_total",          "iarank_dp_cells_total",
     "iarank_dp_heap_pops_total",     "iarank_dp_verify_calls_total",
+    "iarank_dp_frontier_dominated_total",
+    "iarank_dp_frontier_erased_total",
     "iarank_free_pack_calls_total",  "iarank_free_pack_bunch_takes_total",
     "iarank_builder_builds_total",   "iarank_builder_coarsen_misses_total",
     "iarank_builder_die_misses_total", "iarank_builder_stack_misses_total",

@@ -382,8 +382,16 @@ TEST(SweepEngine, ThreadCountDoesNotChangeResults) {
                             core::SweepParameter::kIldPermittivity, k_values, 8);
   expect_identical(one, four);
   expect_identical(one, eight);
-  EXPECT_EQ(four.profile.dp_arena_nodes, one.profile.dp_arena_nodes);
-  EXPECT_EQ(four.profile.dp_heap_pops, one.profile.dp_heap_pops);
+  // Every DP count is a pure function of the point, so the sums pin
+  // exactly, whatever the completion order.
+  for (const core::SweepResult* other : {&four, &eight}) {
+    EXPECT_EQ(other->profile.dp_arena_nodes, one.profile.dp_arena_nodes);
+    EXPECT_EQ(other->profile.dp_max_frontier, one.profile.dp_max_frontier);
+    EXPECT_EQ(other->profile.dp_heap_pops, one.profile.dp_heap_pops);
+    EXPECT_EQ(other->profile.dp_verify_calls, one.profile.dp_verify_calls);
+    EXPECT_EQ(other->profile.failed_points, one.profile.failed_points);
+    EXPECT_EQ(other->profile.resumed_points, one.profile.resumed_points);
+  }
 }
 
 TEST(SweepEngine, CachedSweepsMatchColdOnAllTable4Columns) {

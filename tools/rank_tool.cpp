@@ -23,7 +23,7 @@
 /// Commands:
 ///   rank                      (default) compute and print the rank
 ///   sweep <K|M|C|R> <lo> <hi> <steps> [--csv] [--out file.csv]
-///         [--checkpoint FILE] [--jobs N] [--no-warm-start]
+///         [--checkpoint FILE] [--jobs N]
 ///                             sweep one Table 4 parameter (--jobs
 ///                             concurrent points, default 4).
 ///                             With --checkpoint, every completed point is
@@ -32,10 +32,6 @@
 ///                             results are bitwise identical to an
 ///                             uninterrupted run. Failed points print as
 ///                             n/a (<reason>) and never discard the grid.
-///                             Each point warm-starts the DP from the
-///                             previous point's witness (prune-only;
-///                             results identical either way) unless
-///                             --no-warm-start.
 ///   profile                   print the per-layer-pair assignment trace,
 ///                             DP effort counters and the staged builder's
 ///                             cache profile, and verify its placement
@@ -171,7 +167,6 @@ int cmd_profile(const core::RunSpec& spec, const wld::Wld& wld) {
   dp_table.add_row({"max frontier", std::to_string(r.dp.max_frontier)});
   dp_table.add_row({"heap pops", std::to_string(r.dp.heap_pops)});
   dp_table.add_row({"verify calls", std::to_string(r.dp.verify_calls)});
-  dp_table.add_row({"pruned entries", std::to_string(r.dp.pruned_entries)});
   dp_table.add_row(
       {"frontier dominated", std::to_string(r.dp.frontier_dominated)});
   dp_table.add_row({"frontier erased", std::to_string(r.dp.frontier_erased)});
@@ -262,7 +257,7 @@ int cmd_trace(const core::RunSpec& spec, const wld::Wld& wld) {
 int sweep_usage() {
   std::cerr << "usage: rank_tool <config> sweep <K|M|C|R> <lo> <hi> <steps>"
                " [--csv] [--out file.csv] [--checkpoint file.journal]"
-               " [--jobs N] [--no-warm-start]\n";
+               " [--jobs N]\n";
   return 2;
 }
 
@@ -333,8 +328,6 @@ int cmd_sweep(const core::RunSpec& spec, const wld::Wld& wld, int argc,
         std::cerr << "sweep: " << e.what() << "\n";
         return sweep_usage();
       }
-    } else if (flag == "--no-warm-start") {
-      run.warm_start = false;
     } else {
       std::cerr << "sweep: unknown flag '" << flag << "'\n";
       return sweep_usage();
